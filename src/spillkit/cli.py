@@ -9,7 +9,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import kernel, oracle
+from . import oracle
 from .errors import (
     BudgetExceededError,
     InfeasibleError,
@@ -285,73 +285,24 @@ def _bench_instances(seed):
 
 
 def _cmd_bench(args, out, err):
-    if args.kernel:
-        return _bench_kernel(args, out)
     rows = []
-
-    def solve_row(m, n, inst):
-        got = []
+    for m, n, inst in _bench_instances(args.seed):
         t0 = time.perf_counter()
         sol = incremental_cover_dp(inst)
-        got.append(("dp-cover", m, n, inst.omega, "-", sol.steps,
-                    time.perf_counter() - t0))
+        rows.append(("dp-cover", m, n, inst.omega, "-", sol.steps,
+                     time.perf_counter() - t0))
         for k in (1, 2):
             if inst.omega <= k:
                 continue
             t0 = time.perf_counter()
             sol = fitting_set_dp(inst, k)
-            got.append(("dp-fit", m, n, inst.omega, k, sol.steps,
-                        time.perf_counter() - t0))
-        return got
-
-    work = list(_bench_instances(args.seed))
-    if args.parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            for got in pool.map(lambda w: solve_row(*w), work):
-                rows.extend(got)
-    else:
-        for w in work:
-            rows.extend(solve_row(*w))
+            rows.append(("dp-fit", m, n, inst.omega, k, sol.steps,
+                         time.perf_counter() - t0))
     out.write(f"{'algo':<10} {'m':>4} {'n':>4} {'omega':>5} {'k':>3} "
               f"{'steps':>8} {'seconds':>9}\n")
     for algo, m, n, om, k, steps, dt in rows:
         out.write(f"{algo:<10} {m:>4} {n:>4} {om:>5} {k!s:>3} "
                   f"{steps:>8} {dt:>9.4f}\n")
-    return EXIT_OK
-
-
-def _bench_kernel(args, out):
-    from . import _kernel_py as pure
-
-    try:
-        from . import _kernel as compiled
-    except ImportError:
-        compiled = None
-    rng = random.Random(args.seed)
-    out.write(f"active kernel: {kernel.IMPLEMENTATION}\n")
-    out.write(f"{'n':>3} {'rows':>5} {'pure_s':>9} {'compiled_s':>11} "
-              f"{'speedup':>8}\n")
-    for n in (12, 16, 18):
-        rows = 2 * n
-        weights = [rng.randint(1, 9) for _ in range(n)]
-        live = [rng.getrandbits(n) for _ in range(rows)]
-        chad = [rng.getrandbits(n) & live[i] for i in range(rows)]
-        r = n // 3
-        t0 = time.perf_counter()
-        want = pure.sweep(n, weights, live, chad, r, True)
-        t_pure = time.perf_counter() - t0
-        if compiled is None:
-            out.write(f"{n:>3} {rows:>5} {t_pure:>9.4f} {'-':>11} {'-':>8}\n")
-            continue
-        t0 = time.perf_counter()
-        got = compiled.sweep(n, weights, live, chad, r, True)
-        t_comp = time.perf_counter() - t0
-        assert got == want, "kernel implementations disagree"
-        speed = t_pure / t_comp if t_comp > 0 else float("inf")
-        out.write(f"{n:>3} {rows:>5} {t_pure:>9.4f} {t_comp:>11.4f} "
-                  f"{speed:>8.1f}\n")
     return EXIT_OK
 
 
@@ -394,10 +345,7 @@ def build_parser():
     pp.add_argument("--spill", help="comma-separated spilled variables")
     pp.add_argument("file")
 
-    bp = sub.add_parser("bench", help="step counts vs m and omega; --kernel "
-                                      "compares pure and compiled sweeps")
-    bp.add_argument("--kernel", action="store_true")
-    bp.add_argument("--parallel", type=int, default=1)
+    bp = sub.add_parser("bench", help="DP step counts and seconds vs m and omega")
     bp.add_argument("--seed", type=int, default=0)
     return ap
 

@@ -1,31 +1,76 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise.
+"""The spill-subset sweep behind the exhaustive oracle.
 
-Both implementations expose `sweep` and `sweep_all` with identical
-semantics; tests assert parity and `benchmarks/bench_kernel.py` compares
-their throughput.
+Masks are ints over the variable order chosen by the caller, weights are
+pre-scaled nonnegative ints. `live` / `chad` are per-constraint-row
+bitmasks (callers deduplicate identical rows). A subset S is feasible at
+target r when, for every row,
+
+    popcount(live & ~S) [+ popcount(chad & S) with holes]  <=  r.
 """
 
-from . import _kernel_py as pure
+from .errors import SizeCapError
 
-try:
-    from . import _kernel as compiled  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on build
-    compiled = None
+IMPLEMENTATION = "pure"
+# The cost table holds 2^n Python ints (about 0.6 GB at n = 24), so larger
+# sweeps are refused before it is built.
+MAX_VARS = 24
 
-active = compiled if compiled is not None else pure
 
-IMPLEMENTATION = active.IMPLEMENTATION
-# Scaled costs must stay below this for the compiled path (int64 headroom).
-MAX_SAFE_COST = 2**62
+def _costs(n, weights):
+    if n > MAX_VARS:
+        raise SizeCapError(n, MAX_VARS)
+    costs = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        costs[mask] = costs[mask ^ low] + weights[low.bit_length() - 1]
+    return costs
+
+
+def _feasible(mask, live, chad, r, holes, full):
+    keep = full & ~mask
+    if holes:
+        for lv, ch in zip(live, chad):
+            if (lv & keep).bit_count() + (ch & mask).bit_count() > r:
+                return False
+    else:
+        for lv in live:
+            if (lv & keep).bit_count() > r:
+                return False
+    return True
 
 
 def sweep(n, weights, live, chad, r, holes):
-    if active is pure or max(weights, default=0) * max(n, 1) >= MAX_SAFE_COST:
-        return pure.sweep(n, weights, live, chad, r, holes)
-    return active.sweep(n, weights, live, chad, r, holes)
+    """Minimum-cost feasible subset: (cost, mask), or (None, None).
+
+    Ties go to the smallest mask. Raises SizeCapError when n > MAX_VARS.
+    """
+    costs = _costs(n, weights)
+    full = (1 << n) - 1
+    best_cost = None
+    best_mask = None
+    for mask in range(1 << n):
+        c = costs[mask]
+        if best_cost is not None and c >= best_cost:
+            continue
+        if _feasible(mask, live, chad, r, holes, full):
+            best_cost = c
+            best_mask = mask
+    return best_cost, best_mask
 
 
 def sweep_all(n, weights, live, chad, r, holes, target_cost, cap):
-    if active is pure or max(weights, default=0) * max(n, 1) >= MAX_SAFE_COST:
-        return pure.sweep_all(n, weights, live, chad, r, holes, target_cost, cap)
-    return active.sweep_all(n, weights, live, chad, r, holes, target_cost, cap)
+    """All feasible subsets of exactly target_cost, ascending, capped.
+
+    Returns (masks, truncated). Raises SizeCapError when n > MAX_VARS.
+    """
+    costs = _costs(n, weights)
+    full = (1 << n) - 1
+    out = []
+    for mask in range(1 << n):
+        if costs[mask] != target_cost:
+            continue
+        if _feasible(mask, live, chad, r, holes, full):
+            out.append(mask)
+            if len(out) >= cap:
+                return out, True
+    return out, False

@@ -136,7 +136,8 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
     rows = list(range(len(live)))
     full = (1 << n) - 1
 
-    best = {"cost": None, "mask": 0}
+    best_cost = None
+    best_mask = 0
     steps = 0
     budget_hit = False
 
@@ -171,36 +172,35 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
                 used |= u
         return False, lb, any_over
 
-    def walk(idx, spilled, cost):
-        nonlocal steps, budget_hit
-        if budget_hit:
-            return
+    # Depth-first over (next variable, spilled mask, cost); the keep child
+    # is pushed first so the spill child is searched first. An explicit
+    # stack keeps the depth (one level per variable) off the call stack.
+    stack = [(0, 0, 0)]
+    while stack:
+        idx, spilled, cost = stack.pop()
         steps += 1
         if steps > node_budget:
             budget_hit = True
-            return
+            break
         kept = ~spilled & ((1 << idx) - 1)
         dead, lb, any_over = bound_and_over(spilled, kept)
         if dead:
-            return
-        if best["cost"] is not None and cost + lb >= best["cost"]:
-            return
+            continue
+        if best_cost is not None and cost + lb >= best_cost:
+            continue
         if not any_over:
             # keeping every undecided variable completes this node optimally
-            best["cost"] = cost
-            best["mask"] = spilled
-            return
+            best_cost = cost
+            best_mask = spilled
+            continue
         if idx == n:
-            return
-        b = 1 << idx
-        walk(idx + 1, spilled | b, cost + weights[idx])
-        walk(idx + 1, spilled, cost)
+            continue
+        stack.append((idx + 1, spilled, cost))
+        stack.append((idx + 1, spilled | 1 << idx, cost + weights[idx]))
 
-    walk(0, 0, 0)
-
-    if best["cost"] is None:
+    if best_cost is None:
         return _infeasible(instance, mode, "bnb", steps, proven=not budget_hit)
-    spilled = _decode(best["mask"], order)
+    spilled = _decode(best_mask, order)
     return _solution(instance, spilled, mode, "bnb", steps, proven=not budget_hit)
 
 

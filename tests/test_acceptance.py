@@ -3,7 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s`. The sweeps in criteria
 8-9 quantify over all isomorphism classes of the small source families;
 criterion 11 replays branch-and-bound against every brute-forceable case
-the earlier criteria touched (deduplicated by instance identity).
+the earlier criteria touched (deduplicated by instance identity). Each
+criterion's brute-force answers come from an `lru_cache`d builder, so
+criterion 11 sees the same cases whichever tests ran before it.
 """
 
 import sys
@@ -48,56 +50,60 @@ from builders import (
     seeded,
 )
 
-# every (instance, r, mode) the criteria solved by brute force, deduplicated
-_REGISTRY = {}
-
-
-def _register(inst, r, mode, sol):
-    if inst.n_vars <= 20:
-        key = (inst.declarative_key(), r, mode)
-        _REGISTRY[key] = (inst, r, mode, sol.feasible,
-                          sol.cost if sol.feasible else None)
-
-
 def _passed(name):
     print(f"ACCEPTANCE {name}: PASS", flush=True)
 
 
 @lru_cache(maxsize=None)
-def _c1_instances():
+def _c1_optima():
+    """(instance, r, brute-force optimum) for every r in 1..omega."""
     rng = seeded(101)
-    return tuple(random_linear_ranges(rng, n_max=12, m_max=20, w_max=1)
-                 for _ in range(300))
+    insts = [random_linear_ranges(rng, n_max=12, m_max=20, w_max=1)
+             for _ in range(300)]
+    return tuple((inst, r, brute_force(inst, r, NOHOLES))
+                 for inst in insts for r in range(1, inst.omega + 1))
 
 
 @lru_cache(maxsize=None)
-def _c2_instances():
+def _c2_optima():
+    """(instance, brute-force optimum at each r in 0..omega)."""
     rng = seeded(102)
-    return tuple(random_linear_ranges(rng, n_max=12, m_max=20, w_max=20)
-                 for _ in range(300))
+    insts = [random_linear_ranges(rng, n_max=12, m_max=20, w_max=20)
+             for _ in range(300)]
+    return tuple((inst, tuple(brute_force(inst, r, NOHOLES)
+                              for r in range(inst.omega + 1)))
+                 for inst in insts)
 
 
 @lru_cache(maxsize=None)
-def _c5_trees():
+def _c5_optima():
+    """(tree instance, k, brute-force optimum at r = k) for k in 1..3."""
     rng = seeded(105)
-    return tuple(random_tree_ranges(rng, n_max=12, p_max=15, w_max=20)
-                 for _ in range(200))
+    insts = [random_tree_ranges(rng, n_max=12, p_max=15, w_max=20)
+             for _ in range(200)]
+    return tuple((inst, k, brute_force(inst, k, NOHOLES))
+                 for inst in insts for k in (1, 2, 3))
 
 
 @lru_cache(maxsize=None)
-def _c6_tree_codes():
+def _c6_optima():
+    """(tree code, k, brute-force optimum with holes at r = k), k in 1..2."""
     rng = seeded(106)
-    return tuple(random_tree_code(rng, n_max=10, p_max=10) for _ in range(200))
+    insts = [random_tree_code(rng, n_max=10, p_max=10) for _ in range(200)]
+    return tuple((inst, k, brute_force(inst, k, HOLES))
+                 for inst in insts for k in (1, 2))
 
 
 @lru_cache(maxsize=None)
-def _c7_linear_codes():
+def _c7_optima():
+    """(h, linear code, k, brute_force_all with holes at r = omega - k)."""
     rng = seeded(107)
-    out = []
+    codes = []
     for h in (1, 2):
-        out.extend((h, random_linear_code(rng, h, n_max=10, m_max=14))
-                   for _ in range(100))
-    return tuple(out)
+        codes.extend((h, random_linear_code(rng, h, n_max=10, m_max=14))
+                     for _ in range(100))
+    return tuple((h, inst, k, brute_force_all(inst, inst.omega - k, HOLES))
+                 for h, inst in codes for k in (1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -122,22 +128,17 @@ def _c8_graphs():
 
 
 def test_c01_greedy_optimality():
-    for inst in _c1_instances():
-        for r in range(1, inst.omega + 1):
-            want = brute_force(inst, r, NOHOLES)
-            got = greedy_furthest(inst, r)
-            assert len(got.spilled) == len(want.spilled), (inst, r)
-            _register(inst, r, NOHOLES, want)
+    for inst, r, want in _c1_optima():
+        got = greedy_furthest(inst, r)
+        assert len(got.spilled) == len(want.spilled), (inst, r)
     _passed("C1 greedy furthest-use matches the exhaustive optimum")
 
 
 def test_c02_weighted_optimality_and_integrality():
-    for inst in _c2_instances():
-        for r in range(0, inst.omega + 1):
-            want = brute_force(inst, r, NOHOLES)
+    for inst, wants in _c2_optima():
+        for r, want in enumerate(wants):
             got = weighted_optimal(inst, r)
             assert got.cost == want.cost, (inst, r)
-            _register(inst, r, NOHOLES, want)
         _, flows, _ = _flow_solve(inst, max(0, inst.omega - 1))
         assert all(f in (0, 1) for f in flows.values())
     _passed("C2 weighted flow optimum matches + flows are integral")
@@ -157,26 +158,22 @@ def test_c03_greedy_vs_weighted_regression():
 
 
 def test_c04_incremental_cover_dp():
-    for inst in _c2_instances():
+    for inst, wants in _c2_optima():
         if inst.omega == 0:
             continue
-        want = brute_force(inst, inst.omega - 1, NOHOLES)
+        want = wants[inst.omega - 1]
         got = incremental_cover_dp(inst)
         assert got.cost == want.cost, inst
         assert got.steps <= 4 * inst.omega * inst.n_points, inst
-        _register(inst, inst.omega - 1, NOHOLES, want)
     _passed("C4 incremental cover DP optimal at omega-1")
 
 
 def test_c05_fitting_set_dp():
     c = 16
-    for inst in _c5_trees():
-        for k in (1, 2, 3):
-            want = brute_force(inst, k, NOHOLES)
-            got = fitting_set_dp(inst, k)
-            assert got.cost == want.cost, (inst, k)
-            assert got.steps <= c * inst.n_points * (inst.omega + 1) ** k
-            _register(inst, k, NOHOLES, want)
+    for inst, k, want in _c5_optima():
+        got = fitting_set_dp(inst, k)
+        assert got.cost == want.cost, (inst, k)
+        assert got.steps <= c * inst.n_points * (inst.omega + 1) ** k
     rng = seeded(155)
     for _ in range(60):
         inst = random_linear_ranges(rng, n_max=10, m_max=14, w_max=20)
@@ -187,43 +184,36 @@ def test_c05_fitting_set_dp():
 
 def test_c06_fitting_set_dp_holes():
     feasible = infeasible = 0
-    for inst in _c6_tree_codes():
-        for k in (1, 2):
-            want = brute_force(inst, k, HOLES)
-            try:
-                got = fitting_set_dp_holes(inst, k)
-            except InfeasibleError:
-                got = None
-            if got is None:
-                assert not want.feasible, (inst, k)
-                infeasible += 1
-            else:
-                assert want.feasible and got.cost == want.cost, (inst, k)
-                feasible += 1
-            _register(inst, k, HOLES, want)
+    for inst, k, want in _c6_optima():
+        try:
+            got = fitting_set_dp_holes(inst, k)
+        except InfeasibleError:
+            got = None
+        if got is None:
+            assert not want.feasible, (inst, k)
+            infeasible += 1
+        else:
+            assert want.feasible and got.cost == want.cost, (inst, k)
+            feasible += 1
     assert feasible and infeasible  # both outcomes exercised
     _passed("C6 fitting-set DP with holes: optimal incl. infeasibility")
 
 
 def test_c07_extra_set_dp_and_cardinality_bound():
-    for h, inst in _c7_linear_codes():
-        for k in (1, 2):
-            r = inst.omega - k
-            want, optima, truncated = brute_force_all(inst, r, HOLES)
-            assert not truncated
-            try:
-                got = extra_set_dp(inst, k)
-            except InfeasibleError:
-                got = None
-            if got is None:
-                assert not want.feasible, (inst, k)
-            else:
-                assert want.feasible and got.cost == want.cost, (inst, k)
-            cap = 2 * (h + k)
-            for spilled in optima:
-                for live in inst.live_at:
-                    assert len(live & spilled) <= cap, (inst, k)
-            _register(inst, r, HOLES, want)
+    for h, inst, k, (want, optima, truncated) in _c7_optima():
+        assert not truncated
+        try:
+            got = extra_set_dp(inst, k)
+        except InfeasibleError:
+            got = None
+        if got is None:
+            assert not want.feasible, (inst, k)
+        else:
+            assert want.feasible and got.cost == want.cost, (inst, k)
+        cap = 2 * (h + k)
+        for spilled in optima:
+            for live in inst.live_at:
+                assert len(live & spilled) <= cap, (inst, k)
     _passed("C7 extra-set DP optimal + per-point spilled-cardinality bound")
 
 
@@ -232,35 +222,15 @@ def test_c08_reduction_iff_sweeps():
     for x, res in _c8_x3c():
         assert res.equivalent, x
         checked += 1
-        if res.solver == "brute":
-            _register(res.certificate.instance, res.certificate.r,
-                      res.certificate.mode, _as_solution(res))
     for c, res in _c8_cover():
         assert res.equivalent, c
         checked += 1
-        if res.solver == "brute":
-            _register(res.certificate.instance, res.certificate.r,
-                      res.certificate.mode, _as_solution(res))
     for g, res2, res1 in _c8_graphs():
         assert res2.equivalent, g
         assert res1.equivalent, g
         checked += 2
-        for res in (res2, res1):
-            if res.solver == "brute":
-                _register(res.certificate.instance, res.certificate.r,
-                          res.certificate.mode, _as_solution(res))
     assert checked > 2500
     _passed(f"C8 reduction iff sweeps ({checked} exhaustive checks)")
-
-
-class _Opt:
-    def __init__(self, feasible, cost):
-        self.feasible = feasible
-        self.cost = cost
-
-
-def _as_solution(res):
-    return _Opt(res.optimum is not None, res.optimum)
 
 
 def test_c09_h1_gadget_parameters():
@@ -332,20 +302,39 @@ def test_c10_model_invariants_and_roundtrips():
             f"({checked} distinct instances)")
 
 
+def _brute_registry():
+    """Every (instance, r, mode) criteria 1-8 solved by brute force,
+    deduplicated: key -> (instance, r, mode, feasible, cost)."""
+    cases = [(inst, r, NOHOLES, s.feasible, s.cost)
+             for inst, r, s in _c1_optima()]
+    cases += [(inst, r, NOHOLES, s.feasible, s.cost)
+              for inst, wants in _c2_optima() for r, s in enumerate(wants)]
+    cases += [(inst, k, NOHOLES, s.feasible, s.cost)
+              for inst, k, s in _c5_optima()]
+    cases += [(inst, k, HOLES, s.feasible, s.cost)
+              for inst, k, s in _c6_optima()]
+    cases += [(inst, inst.omega - k, HOLES, s.feasible, s.cost)
+              for _, inst, k, (s, _, _) in _c7_optima()]
+    c8 = [res for _, res in _c8_x3c()] + [res for _, res in _c8_cover()]
+    c8 += [res for _, res2, res1 in _c8_graphs() for res in (res2, res1)]
+    cases += [(res.certificate.instance, res.certificate.r,
+               res.certificate.mode, res.optimum is not None, res.optimum)
+              for res in c8 if res.solver == "brute"]
+    return {(inst.declarative_key(), r, mode): (inst, r, mode, feasible, cost)
+            for inst, r, mode, feasible, cost in cases if inst.n_vars <= 20}
+
+
 def test_c11_oracle_agreement():
-    # criteria 1-9 must have populated the registry
-    for name in ("_c1_instances", "_c2_instances", "_c5_trees",
-                 "_c6_tree_codes", "_c7_linear_codes"):
-        assert globals()[name].cache_info().currsize or True
-    assert _REGISTRY, "registry is empty; run the full module"
+    registry = _brute_registry()
+    assert registry
     disagreements = 0
-    for inst, r, mode, feasible, cost in _REGISTRY.values():
+    for inst, r, mode, feasible, cost in registry.values():
         got = branch_and_bound(inst, r, mode)
         assert got.proven_optimal
         if got.feasible != feasible or (feasible and got.cost != cost):
             disagreements += 1
     assert disagreements == 0
-    _passed(f"C11 oracle agreement over {len(_REGISTRY)} brute-forceable "
+    _passed(f"C11 oracle agreement over {len(registry)} brute-forceable "
             "cases")
 
 

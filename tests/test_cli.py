@@ -294,11 +294,3 @@ class TestBench:
         code, out, _ = cli("bench")
         assert code == 0
         assert re.search(r"dp-cover\s+\d+", out)
-
-    def test_parallel(self):
-        code, out, _ = cli("bench", "--parallel", "4")
-        assert code == 0
-
-    def test_kernel_compare(self):
-        code, out, _ = cli("bench", "--kernel")
-        assert code == 0 and "active kernel" in out

@@ -1,55 +1,9 @@
-"""Parity between the compiled and pure sweep kernels."""
-
-import random
+"""Contract of the spill-subset sweep kernel."""
 
 import pytest
 
-from spillkit import _kernel_py as pure
 from spillkit import kernel
-
-try:
-    from spillkit import _kernel as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None,
-                                    reason="compiled kernel not built")
-
-
-def random_tables(rng, n):
-    rows = rng.randint(1, 2 * n)
-    weights = [rng.randint(1, 30) for _ in range(n)]
-    live = [rng.getrandbits(n) for _ in range(rows)]
-    chad = [live[i] & rng.getrandbits(n) for i in range(rows)]
-    return weights, live, chad
-
-
-@needs_compiled
-def test_sweep_parity():
-    rng = random.Random(42)
-    for _ in range(150):
-        n = rng.randint(1, 11)
-        weights, live, chad = random_tables(rng, n)
-        r = rng.randint(0, n)
-        holes = rng.random() < 0.5
-        assert compiled.sweep(n, weights, live, chad, r, holes) == \
-            pure.sweep(n, weights, live, chad, r, holes)
-
-
-@needs_compiled
-def test_sweep_all_parity():
-    rng = random.Random(43)
-    for _ in range(80):
-        n = rng.randint(1, 10)
-        weights, live, chad = random_tables(rng, n)
-        r = rng.randint(0, n)
-        holes = rng.random() < 0.5
-        cost, _ = pure.sweep(n, weights, live, chad, r, holes)
-        if cost is None:
-            continue
-        a = compiled.sweep_all(n, weights, live, chad, r, holes, cost, 10**6)
-        b = pure.sweep_all(n, weights, live, chad, r, holes, cost, 10**6)
-        assert a == b
+from spillkit.errors import SizeCapError
 
 
 def test_all_cap_truncates():
@@ -77,3 +31,9 @@ def test_ties_pick_smallest_mask():
     chad = [0b000]
     cost, mask = kernel.sweep(n, [5, 5, 5], live, chad, 2, False)
     assert cost == 5 and mask == 0b001
+
+
+def test_sweep_all_refuses_past_ceiling():
+    n = kernel.MAX_VARS + 1
+    with pytest.raises(SizeCapError):
+        kernel.sweep_all(n, [1] * n, [0], [0], 0, False, 0, 1)

@@ -1,6 +1,8 @@
 import pytest
 
+from spillkit import kernel
 from spillkit.errors import SizeCapError
+from spillkit.intervals import weighted_optimal
 from spillkit.model import (
     HOLES,
     LINEAR,
@@ -56,6 +58,14 @@ class TestBruteForce:
         inst = random_linear_ranges(rng, n_max=12, m_max=12)
         with pytest.raises(SizeCapError):
             brute_force(inst, 1, NOHOLES, cap=inst.n_vars - 1)
+
+    def test_kernel_ceiling_refuses_before_sweeping(self):
+        # a caller's cap cannot lift the kernel past its own ceiling
+        inst = ranges_inst({f"v{i}": range(1, 3) for i in range(64)},
+                           {f"v{i}": 1 for i in range(64)})
+        with pytest.raises(SizeCapError) as exc:
+            brute_force(inst, 1, NOHOLES, cap=64)
+        assert exc.value.cap == kernel.MAX_VARS
 
     def test_first_feasible_in_weight_order_is_optimal(self):
         rng = seeded(2)
@@ -128,6 +138,27 @@ class TestBranchAndBound:
         inst = random_linear_ranges(rng, n_max=12, m_max=16, w_max=9)
         sol = branch_and_bound(inst, 1, NOHOLES, node_budget=1)
         assert not sol.proven_optimal
+
+    @pytest.mark.parametrize("shape", ["wide", "chain"])
+    def test_deep_search_ends_in_a_solution(self, shape):
+        # the search goes one level deeper per variable: 1,500 variables
+        # reach far past the interpreter's recursion limit
+        rng = seeded(6)
+        n = 1500
+        weights = {f"v{i}": rng.randint(1, 9) for i in range(n)}
+        if shape == "wide":
+            # all live together: spilling the n - r cheapest is optimal,
+            # and the bound prunes each keep child at once
+            inst = ranges_inst({v: range(1, 3) for v in weights}, weights)
+            sol = branch_and_bound(inst, 10, NOHOLES)
+            assert sol.proven_optimal
+            assert sol.cost == weighted_optimal(inst, 10).cost
+        else:
+            inst = ranges_inst({f"v{i}": range(i + 1, i + 3)
+                                for i in range(n)}, weights)
+            sol = branch_and_bound(inst, 1, NOHOLES, node_budget=1600)
+            assert not sol.proven_optimal
+            assert not sol.feasible or not verify(inst, sol.spilled, 1, NOHOLES)
 
     def test_tree_shape(self):
         rng = seeded(5)
