@@ -10,6 +10,9 @@ source-problem format consumed by the reduction generators.
     var <id> weight <int|num/den> [span <a>..<b> | points <ids>]
     # comment
 
+A ranges instance is a tree when a point names a parent or a variable
+lists points, and linear (variables give spans) otherwise.
+
 Rationals are written as num/den; no floating point appears anywhere so
 optimality comparisons stay exact. serialize() emits records sorted
 (points, then live-in/out, instructions, variables) and is byte-stable.
@@ -179,7 +182,9 @@ def parse(text):
             raise ParseError("ranges instances take no livein/liveout", 1)
         if instrs:
             raise ParseError("ranges instances take no instructions", instrs[0][0])
-        is_tree = any(p.parent is not None for p in points)
+        # a one-point tree names no parent, but it lists points
+        is_tree = (any(p.parent is not None for p in points)
+                   or any(pts is not None for *_, pts in var_rows))
         shape = TREE if is_tree else LINEAR
         known = {p.id for p in points}
         ranges = {}

@@ -10,8 +10,6 @@ incremental dynamic program that lowers Maxlive by exactly one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
-from math import lcm
 
 from .errors import UnsupportedModeError, WrongShapeError
 from .model import LINEAR, NOHOLES, SpillSolution, check_mode, pressure
@@ -146,7 +144,7 @@ class _MinCostFlow:
 def _flow_solve(instance, r):
     """Returns (kept set, flow per variable arc, dijkstra pops)."""
     order = instance.var_order()
-    scale = lcm(*(instance.variables[v].weight.denominator for v in order)) if order else 1
+    weights, _ = instance.scaled_weights(order)
     spans = _spans(instance)
     n_samples = len(instance.samples)
 
@@ -162,9 +160,8 @@ def _flow_solve(instance, r):
     for i in range(len(coords) - 1):
         f.add_edge(i, i + 1, r, 0)
     var_edge = {}
-    for v in order:
+    for v, w in zip(order, weights):
         s, e = spans[v]
-        w = int(instance.variables[v].weight * scale)
         a, b = node[s], node[e + 1]
         var_edge[v] = (a, len(f.graph[a]))
         f.add_edge(a, b, 1, -w)
@@ -214,6 +211,8 @@ def incremental_cover_dp(instance, mode=NOHOLES):
     if omega == 0:
         return _solution(instance, frozenset(), "dp-cover", 0)
     spans = _spans(instance)
+    order = instance.var_order()
+    weight = dict(zip(order, instance.scaled_weights(order)[0]))
     cols = _compressed_columns(instance)
     peaks = [(i, live) for i, live in cols if len(live) == omega]
     coords = [i for i, _ in peaks]
@@ -226,8 +225,8 @@ def incremental_cover_dp(instance, mode=NOHOLES):
         for v in sorted(live):
             steps += 1
             pred = bisect_left(coords, spans[v][0]) - 1
-            below = best[pred][0] if pred >= 0 else Fraction(0)
-            c = instance.variables[v].weight + below
+            below = best[pred][0] if pred >= 0 else 0
+            c = weight[v] + below
             if cand is None or c < cand[0]:
                 cand = (c, v, pred)
         best.append(cand)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import MalformedCodeError, UnsupportedModeError
@@ -100,20 +101,49 @@ class SpillSolution:
 class Instance:
     """An immutable spill-everywhere instance with precomputed liveness.
 
-    Do not mutate after construction; solvers assume all derived tables
-    (sample order, per-sample live sets, chads, omega, h) are frozen.
+    Build one with from_code (liveness derived from instructions; the
+    constructor's `ranges` is None) or from_ranges (ranges given). Do not
+    mutate after construction; solvers assume all derived tables (sample
+    order, per-sample live sets, chads, omega, h) are frozen.
     """
 
-    def __init__(self, shape, points, variables, instructions=None,
-                 livein=frozenset(), liveout=frozenset(), code_backed=False):
+    def __init__(self, shape, points, weights, ranges=None, instructions=(),
+                 livein=frozenset(), liveout=frozenset()):
         self.shape = shape
         self.points = tuple(points)
-        self.variables = dict(variables)  # id -> Variable
-        self.instructions = tuple(instructions) if instructions is not None else None
+        self.code_backed = ranges is None
+        self.instructions = tuple(instructions) if self.code_backed else None
         self.livein = frozenset(livein)
         self.liveout = frozenset(liveout)
-        self.code_backed = code_backed
-        self._index()
+
+        order, children = _point_structure(shape, self.points)
+        self.point_order = order  # point ids, chain order or DFS preorder
+        self.children = children  # point id -> tuple of child ids
+        self.point_pos = {p: i for i, p in enumerate(order)}
+        self.parent_of = {p.id: p.parent for p in self.points}
+        # Two samples per point, use moment first: (p, USE) is sample
+        # 2 * point_pos[p] and (p, DEF) the one after it.
+        self.samples = tuple((p, m) for p in order for m in (USE, DEF))
+        self.sample_pos = {s: i for i, s in enumerate(self.samples)}
+
+        live = [set() for _ in self.samples]
+        chad = [set() for _ in self.samples]
+        kind = "interval" if shape == LINEAR else "subtree"
+        self.variables = {}  # id -> Variable
+        for vid, chads, rng, span in self._derive(weights, ranges):
+            for i in span:
+                live[i].add(vid)
+            for p, m in chads:
+                if p in self.point_pos:
+                    chad[2 * self.point_pos[p] + (m == DEF)].add(vid)
+            self.variables[vid] = Variable(vid, Fraction(weights[vid]),
+                                           LiveRange(kind, frozenset(rng)),
+                                           frozenset(chads))
+        self.live_at = tuple(frozenset(s) for s in live)
+        self.chads_at = tuple(frozenset(s) for s in chad)
+        self.omega = max(map(len, self.live_at), default=0)
+        self.h = max((max(len(i.uses), len(i.defs))
+                      for i in self.instructions or ()), default=0)
 
     # -- construction -------------------------------------------------
 
@@ -123,118 +153,103 @@ class Instance:
         """Build a code-backed instance; ranges and chads are derived.
 
         `weights` maps every variable id to its spill cost. Structural
-        problems (double definition, use outside the definition's scope)
-        do not raise here: construction is tolerant so that validate()
-        can report them as data.
+        problems (double definition, use outside the definition's scope,
+        a point off the tree) do not raise here: construction is tolerant
+        so that validate() can report them as data.
         """
-        points = tuple(points)
-        instructions = tuple(instructions)
-        livein = frozenset(livein)
-        liveout = frozenset(liveout)
-        order, children = _point_structure(shape, points)
-
-        def_at = {}
-        uses_at = {}  # var -> sorted list of point ids
-        for ins in instructions:
-            for v in ins.defs:
-                def_at.setdefault(v, ins.at)
-            for v in ins.uses:
-                uses_at.setdefault(v, []).append(ins.at)
-
-        variables = {}
-        for vid in sorted(weights):
-            w = Fraction(weights[vid])
-            rng, chads = _derive_range(
-                shape, vid, def_at.get(vid), uses_at.get(vid, []),
-                vid in livein, vid in liveout, order, children)
-            kind = "interval" if shape == LINEAR else "subtree"
-            variables[vid] = Variable(vid, w, LiveRange(kind, frozenset(rng)),
-                                      frozenset(chads))
-        return cls(shape, points, variables, instructions, livein, liveout,
-                   code_backed=True)
+        return cls(shape, points, weights, instructions=instructions,
+                   livein=livein, liveout=liveout)
 
     @classmethod
     def from_ranges(cls, shape, points, ranges, weights):
         """Build a pure range instance: `ranges` maps id -> iterable of points."""
-        kind = "interval" if shape == LINEAR else "subtree"
-        variables = {}
-        for vid in sorted(ranges):
-            w = Fraction(weights[vid])
-            variables[vid] = Variable(vid, w, LiveRange(kind, frozenset(ranges[vid])),
-                                      frozenset())
-        return cls(shape, points, variables, code_backed=False)
+        return cls(shape, points, weights, ranges=ranges)
 
-    # -- derived tables -----------------------------------------------
-
-    def _index(self):
-        order, children = _point_structure(self.shape, self.points)
-        self.point_order = order  # point ids, chain order or DFS preorder
-        self.children = children  # point id -> tuple of child ids
-        self.point_pos = {p: i for i, p in enumerate(order)}
-        self.parent_of = {p.id: p.parent for p in self.points}
-
-        # Two samples per point, use moment first.
-        self.samples = tuple((p, m) for p in order for m in (USE, DEF))
-        self.sample_pos = {s: i for i, s in enumerate(self.samples)}
-
-        live = [set() for _ in self.samples]
-        chad = [set() for _ in self.samples]
-        for v in self.variables.values():
-            for s in self._live_samples(v):
-                live[self.sample_pos[s]].add(v.id)
-            for c in v.chads:
-                chad[self.sample_pos[c]].add(v.id)
-        self.live_at = tuple(frozenset(s) for s in live)
-        self.chads_at = tuple(frozenset(s) for s in chad)
-
-        self.omega = max((len(s) for s in self.live_at), default=0)
-        self.h = 0
-        if self.instructions:
-            self.h = max(max(len(i.uses), len(i.defs)) for i in self.instructions)
-        self.instr_at = {}
-        for ins in self.instructions or ():
-            self.instr_at.setdefault(ins.at, ins)
-
-    def _live_samples(self, v):
-        """Sample points covered by v's range under the two-moment model."""
-        pts = v.range.points
+    def _derive(self, weights, ranges):
+        """(id, chads, range points, live sample indices) per variable."""
+        pos = self.point_pos
         if not self.code_backed:
-            for p in pts:
-                yield (p, USE)
-                yield (p, DEF)
+            for vid in sorted(ranges):
+                rng = frozenset(ranges[vid])
+                yield vid, (), rng, [2 * pos[p] + m for p in rng if p in pos
+                                     for m in (0, 1)]
             return
-        use_pts = [p for p, m in v.chads if m == USE]
-        def_pt = next((p for p, m in v.chads if m == DEF), None)
+        def_at = {}
+        uses_at = {}  # var -> use points, in instruction order
+        for ins in self.instructions:
+            for v in ins.defs:
+                def_at.setdefault(v, ins.at)
+            for v in ins.uses:
+                uses_at.setdefault(v, []).append(ins.at)
+        for vid in sorted(weights):
+            d, uses = def_at.get(vid), uses_at.get(vid, ())
+            chads = {(d, DEF)} if d is not None else set()
+            chads.update((u, USE) for u in uses)
+            yield (vid, chads) + self._liveness(vid, d, uses)
+
+    def _liveness(self, vid, d, uses):
+        """(range points, live sample indices) of one code-backed variable
+        defined at d (or None) and used at `uses`.
+
+        A linear range is one run of samples, from the definition (or the
+        block entry for live-in, or the first use) to the last use (or
+        the block exit for live-out). A tree range is the union of the
+        walks from each use up to the definition (or the root for
+        live-in); each point is walked once, and a walk that leaves the
+        tree or circles keeps only its use, for validate() to report.
+        """
+        pos = self.point_pos
         if self.shape == LINEAR:
-            spos = self.sample_pos
-            if def_pt is not None:
-                s0 = spos[(def_pt, DEF)]
-            elif v.id in self.livein:
+            ups = [2 * pos[u] for u in uses if u in pos]
+            if d in pos:
+                s0 = 2 * pos[d] + 1
+            elif vid in self.livein and pos:
                 s0 = 0
-            elif use_pts:
-                s0 = min(spos[(p, USE)] for p in use_pts)
+            elif ups:
+                s0 = min(ups)
             else:
-                return
-            if v.id in self.liveout:
-                s1 = len(self.samples) - 1
-            elif use_pts:
-                s1 = max(spos[(p, USE)] for p in use_pts)
-            else:
-                s1 = s0
+                return (), ()
+            s1 = (len(self.samples) - 1 if vid in self.liveout
+                  else max(ups) if ups else s0)
             if s1 < s0:
                 s0, s1 = s1, s0  # malformed code, tolerated for validate()
-            for i in range(s0, s1 + 1):
-                yield self.samples[i]
+            return self.point_order[s0 // 2:s1 // 2 + 1], range(s0, s1 + 1)
+
+        if d is not None:
+            top = d
+        elif vid in self.livein and pos:
+            top = self.point_order[0]
+        elif uses:
+            top = min(uses, key=lambda u: pos.get(u, len(pos)))
         else:
-            kids = self.children
-            for p in pts:
-                if p != def_pt:
-                    yield (p, USE)
-                if any(c in pts for c in kids.get(p, ())):
-                    yield (p, DEF)
-                elif p == def_pt and len(pts) == 1:
-                    # defined, never used: alive only at its def moment
-                    yield (p, DEF)
+            return (), ()
+        reached = {top}  # joined to top by parent links
+        dead = set()  # walks from these never meet top
+        rng = {top}
+        for u in uses:
+            path = set()
+            q = u
+            while q not in reached:
+                if q in path or q in dead or q not in pos:
+                    dead |= path
+                    rng.add(u)  # kept alone, for validate() to flag
+                    break
+                path.add(q)
+                q = self.parent_of[q]
+            else:
+                reached |= path
+        rng |= reached
+        has_kid = {self.parent_of.get(q) for q in rng}
+        span = []
+        for p in rng:
+            if p in pos:
+                if p != d:
+                    span.append(2 * pos[p])
+                # live after p's instruction if the range goes on into a
+                # child, or if the variable is defined at p and never used
+                if p in has_kid or (p == d and len(rng) == 1):
+                    span.append(2 * pos[p] + 1)
+        return rng, span
 
     # -- convenience --------------------------------------------------
 
@@ -251,6 +266,13 @@ class Instance:
 
     def weight(self, vid):
         return self.variables[vid].weight
+
+    def scaled_weights(self, order):
+        """(integer weights parallel to `order`, scale): the weights times
+        the lcm of their denominators, so solvers add ints, not Fractions."""
+        ws = [self.variables[v].weight for v in order]
+        scale = lcm(*(w.denominator for w in ws))
+        return [w.numerator * (scale // w.denominator) for w in ws], scale
 
     def cost_of(self, spilled):
         return sum((self.variables[v].weight for v in spilled), Fraction(0))
@@ -311,63 +333,6 @@ def _point_structure(shape, points):
     return order, {k: tuple(v) for k, v in children.items()}
 
 
-def _derive_range(shape, vid, def_pt, use_pts, is_livein, is_liveout,
-                  order, children):
-    """Range points + chads for one variable of a code-backed instance."""
-    pos = {p: i for i, p in enumerate(order)}
-    chads = set()
-    if def_pt is not None:
-        chads.add((def_pt, DEF))
-    for u in use_pts:
-        chads.add((u, USE))
-
-    if shape == LINEAR:
-        if def_pt is not None:
-            start = def_pt
-        elif is_livein:
-            start = order[0] if order else None
-        elif use_pts:
-            start = min(use_pts, key=pos.get)  # tolerated; validate() flags it
-        else:
-            return set(), chads
-        if is_liveout and order:
-            end = order[-1]
-        elif use_pts:
-            end = max(use_pts, key=pos.get)
-        else:
-            end = start
-        lo, hi = pos[start], pos[end]
-        if hi < lo:
-            lo, hi = hi, lo
-        return {order[i] for i in range(lo, hi + 1)}, chads
-
-    # Tree: union of paths from the definition (or root) to each use.
-    parent = {}
-    for p, kids in children.items():
-        for c in kids:
-            parent[c] = p
-    if def_pt is not None:
-        top = def_pt
-    elif is_livein and order:
-        top = order[0]
-    elif use_pts:
-        top = min(use_pts, key=pos.get)
-    else:
-        return set(), chads
-    rng = {top}
-    for u in use_pts:
-        path = [u]
-        q = u
-        while q != top and q in parent:
-            q = parent[q]
-            path.append(q)
-        if path[-1] == top:
-            rng.update(path)
-        else:
-            rng.add(u)  # unreachable use, kept so validate() can flag it
-    return rng, chads
-
-
 # ---------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------
@@ -396,9 +361,16 @@ def validate(instance):
         for p in instance.points:
             if p.parent is not None and p.parent not in known:
                 bad("shape", f"point {p.id}", f"unknown parent {p.parent}")
-        if len(instance.point_order) != len(ids) and len(set(ids)) == len(ids):
-            missing = set(ids) - set(instance.point_order[:len(set(ids))])
-            bad("shape", "<instance>", "points do not form a single rooted tree")
+        reached = set()
+        stack = [p.id for p in roots]
+        while stack:
+            q = stack.pop()
+            if q not in reached:
+                reached.add(q)
+                stack.extend(instance.children[q])
+        for p in instance.points:
+            if p.id not in reached:
+                bad("shape", f"point {p.id}", "not reachable from the root")
     else:
         bad("shape", "<instance>", f"unknown shape {instance.shape!r}")
 

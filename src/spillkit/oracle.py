@@ -9,7 +9,6 @@ first-class result, not an error.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import kernel
 from .errors import SizeCapError
@@ -30,8 +29,7 @@ def encode(instance, mode, order=None):
     if order is None:
         order = instance.var_order()
     bit = {v: i for i, v in enumerate(order)}
-    scale = lcm(*(instance.variables[v].weight.denominator for v in order)) if order else 1
-    weights = [int(instance.variables[v].weight * scale) for v in order]
+    weights, scale = instance.scaled_weights(order)
     holes = mode == HOLES
     rows = set()
     for live, chads in zip(instance.live_at, instance.chads_at):

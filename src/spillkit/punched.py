@@ -13,7 +13,7 @@ polynomial for fixed h and k.
 from __future__ import annotations
 
 from itertools import combinations
-from math import lcm
+from math import comb
 
 from .errors import BudgetExceededError, InfeasibleError, WrongShapeError
 from .model import HOLES, LINEAR, SpillSolution, pressure
@@ -22,7 +22,12 @@ DEFAULT_STATE_BUDGET = 10_000_000
 
 
 def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
-    """Minimum-weight spill set with l'(p) <= Maxlive - k under holes."""
+    """Minimum-weight spill set with l'(p) <= Maxlive - k under holes.
+
+    `state_budget` caps work: the candidate extra sets of every column
+    are charged against it before they are enumerated, and
+    BudgetExceededError is raised past it.
+    """
     if instance.shape != LINEAR:
         raise WrongShapeError("extra_set_dp handles linear codes only")
     if not instance.code_backed:
@@ -35,8 +40,7 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     cap = 2 * (instance.h + k)
     order = instance.var_order()
     bit = {v: i for i, v in enumerate(order)}
-    scale = lcm(*(instance.variables[v].weight.denominator for v in order)) if order else 1
-    w = [int(instance.variables[v].weight * scale) for v in order]
+    w, _ = instance.scaled_weights(order)
 
     # Compress runs of identical (live, chad) sample columns; the matching
     # constraint between equal columns is the identity.
@@ -62,7 +66,7 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
         return t
 
     steps = 0
-    cells = 0
+    work = 0  # candidate extra sets charged against state_budget
     layers = []  # per column: {state mask -> (cost, prev state mask)}
     prev_live = 0
     prev_layer = {}
@@ -78,8 +82,15 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
                 if cur is None or cost < cur[0]:
                     groups[key] = (cost, state)
         universe = sorted(b for b in range(len(order)) if lm >> b & 1)
+        sizes = range(max(0, need), min(cap, len(universe)) + 1)
+        work += sum(comb(len(universe), size) for size in sizes)
+        if work > state_budget:
+            raise BudgetExceededError(
+                f"extra-set DP exceeded its budget of {state_budget} "
+                f"candidate sets (cap {cap} over {len(order)} variables); "
+                "use the exact oracle")
         layer = {}
-        for size in range(max(0, need), min(cap, len(universe)) + 1):
+        for size in sizes:
             for combo in combinations(universe, size):
                 steps += 1
                 e = 0
@@ -99,11 +110,6 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
             raise InfeasibleError(
                 f"no extra set of size <= {cap} reaches pressure {r} "
                 f"at point {pt} ({mom} moment)", witness=(pt, mom))
-        cells += len(layer)
-        if cells > state_budget:
-            raise BudgetExceededError(
-                f"extra-set DP exceeded {state_budget} states "
-                f"(cap {cap} over {len(order)} variables); use the exact oracle")
         layers.append(layer)
         prev_layer = layer
         prev_live = lm

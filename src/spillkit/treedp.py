@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import BudgetExceededError, InfeasibleError, UnsupportedModeError
 from .model import (
@@ -58,12 +59,13 @@ def _solve_fitting(instance, k, holes, state_budget):
                     f"even the full spill leaves pressure {len(chads)} > {k} "
                     f"at point {pt} ({mom} moment)", witness=(pt, mom))
 
-    weights = {v: var.weight for v, var in instance.variables.items()}
+    order = instance.var_order()
+    weights = dict(zip(order, instance.scaled_weights(order)[0]))
     children = _sample_children(instance)
     live = instance.live_at
     chad = instance.chads_at
     steps = 0
-    cells = 0
+    work = 0  # candidate fitting sets charged against state_budget
 
     # tables[i]: {kept frozenset -> (cost, backptrs)}; backptrs pair child
     # sample index with the chosen child state.
@@ -81,14 +83,21 @@ def _solve_fitting(instance, k, holes, state_budget):
 
         table = {}
         universe = sorted(live[i])
+        sizes = range(min(k, len(universe)) + 1)
+        work += sum(comb(len(universe), size) for size in sizes)
+        if work > state_budget:
+            raise BudgetExceededError(
+                f"fitting-set DP exceeded its budget of {state_budget} "
+                "candidate sets; use weighted_optimal for linear instances "
+                "or the exact oracle")
         base_chads = chad[i] if holes else frozenset()
-        for size in range(min(k, len(universe)) + 1):
+        for size in sizes:
             for combo in combinations(universe, size):
                 steps += 1
                 f = frozenset(combo)
                 if holes and size + len(base_chads - f) > k:
                     continue
-                cost = sum((weights[v] for v in f), Fraction(0))
+                cost = sum(weights[v] for v in f)
                 back = []
                 dead = False
                 for c, g in groups:
@@ -98,8 +107,7 @@ def _solve_fitting(instance, k, holes, state_budget):
                         dead = True
                         break
                     fc, cost_c = hit
-                    cost += cost_c - sum((weights[v] for v in f & live[c]),
-                                         Fraction(0))
+                    cost += cost_c - sum(weights[v] for v in f & live[c])
                     back.append((c, fc))
                 if dead:
                     continue
@@ -109,11 +117,6 @@ def _solve_fitting(instance, k, holes, state_budget):
             raise InfeasibleError(
                 f"no fitting set admits a consistent completion at point {pt} "
                 f"({mom} moment)", witness=(pt, mom))
-        cells += len(table)
-        if cells > state_budget:
-            raise BudgetExceededError(
-                f"fitting-set DP exceeded {state_budget} states; use "
-                "weighted_optimal for linear instances or the exact oracle")
         tables[i] = table
 
     root = 0
@@ -146,12 +149,15 @@ def fitting_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     """Minimum-weight spill set with Maxlive <= k, without holes.
 
     Works on trees and linear codes alike (a chain is a tree); exact for
-    any chordal instance of this toolkit.
+    any chordal instance of this toolkit. `state_budget` caps work: the
+    candidate fitting sets of every sample are charged against it before
+    they are enumerated, and BudgetExceededError is raised past it.
     """
     return _solve_fitting(instance, k, holes=False, state_budget=state_budget)
 
 
 def fitting_set_dp_holes(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     """As fitting_set_dp, under hole semantics (spilled uses/defs still
-    occupy a register at their instruction)."""
+    occupy a register at their instruction); `state_budget` caps work
+    the same way."""
     return _solve_fitting(instance, k, holes=True, state_budget=state_budget)

@@ -1,6 +1,8 @@
 """Seeded random instance builders shared by the test suite."""
 
 import random
+import signal
+from contextlib import contextmanager
 
 from spillkit.model import LINEAR, TREE, Instance, Instruction, Point, validate
 
@@ -148,3 +150,19 @@ def random_linear_code(rng, h, n_max=10, m_max=14, w_max=20,
 
 def seeded(seed):
     return random.Random(seed)
+
+
+@contextmanager
+def within(seconds):
+    """Raise TimeoutError in the block once it has run `seconds`, so a
+    test of a call that should end quickly fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

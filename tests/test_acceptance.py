@@ -9,6 +9,7 @@ criterion 11 sees the same cases whichever tests ran before it.
 """
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -106,24 +107,36 @@ def _c7_optima():
                  for h, inst in codes for k in (1, 2))
 
 
+def _checked(source, kind, pool):
+    """check_reduction, its certificate holding the first Instance equal
+    to the one generated: a sweep keeps one Instance per distinct
+    declarative_key(), not one per bound of a source."""
+    res = check_reduction(source, kind)
+    inst = pool.setdefault(res.certificate.instance, res.certificate.instance)
+    return replace(res, certificate=replace(res.certificate, instance=inst))
+
+
 @lru_cache(maxsize=None)
 def _c8_x3c():
-    return tuple((x, check_reduction(x, X3C)) for x in x3c_sources(9, 5))
+    pool = {}
+    return tuple((x, _checked(x, X3C, pool)) for x in x3c_sources(9, 5))
 
 
 @lru_cache(maxsize=None)
 def _c8_cover():
-    return tuple((c, check_reduction(c, MINCOVER)) for c in cover_sources(6, 5))
+    pool = {}
+    return tuple((c, _checked(c, MINCOVER, pool)) for c in cover_sources(6, 5))
 
 
 @lru_cache(maxsize=None)
 def _c8_graphs():
+    pool = {}
     out = []
     for n, edges in graphs_upto(6):
         for bound in range(1, n + 1):
             g = graph_instance(n, edges, bound)
-            out.append((g, check_reduction(g, INDEPSET2),
-                        check_reduction(g, INDEPSET1)))
+            out.append((g, _checked(g, INDEPSET2, pool),
+                        _checked(g, INDEPSET1, pool)))
     return tuple(out)
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spillkit.errors import ParseError
 from spillkit.fileformat import parse, parse_source, serialize
@@ -18,6 +20,7 @@ from builders import (
     random_tree_code,
     random_tree_ranges,
     seeded,
+    within,
 )
 
 fs = frozenset
@@ -134,6 +137,99 @@ instr 1 uses - defs a
             text = serialize(cert.instance)
             assert parse(text) == cert.instance
             assert serialize(parse(text)) == text
+
+
+CYCLIC = {
+    # a walk from the use at 2 up to the definition at 1 would circle
+    "self-parent with a use": """format spill-v1
+kind tree
+point 1
+point 2 parent 2
+instr 1 uses - defs a
+instr 2 uses a defs -
+var a weight 1
+""",
+    "self-parent": "format spill-v1\nkind tree\npoint 1\npoint 2 parent 2\n",
+    "two-cycle": ("format spill-v1\nkind tree\npoint 1\n"
+                  "point 2 parent 3\npoint 3 parent 2\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC))
+def test_cyclic_parents_rejected(name):
+    with within(1.0), pytest.raises(ParseError, match="not reachable"):
+        parse(CYCLIC[name])
+
+
+@pytest.mark.parametrize("text", [
+    "format spill-v1\nkind linear\npoint 1\ninstr 7 uses a defs -\n"
+    "var a weight 1\n",
+    "format spill-v1\nkind tree\npoint 1\ninstr 1 uses - defs a\n"
+    "instr 7 uses a defs -\nvar a weight 1\n",
+    "format spill-v1\nkind ranges\npoint 1\nvar a weight 1 points 1,9\n",
+], ids=["linear instr", "tree instr", "ranges points"])
+def test_unknown_points_rejected(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+_pt = st.integers(-1, 4)
+_ids = st.lists(st.sampled_from("abc"), max_size=3).map(
+    lambda vs: ",".join(vs) or "-")
+# distinct point ids, most with no parent; a parent may be the point itself
+_points = st.lists(st.tuples(_pt, st.none() | st.none() | _pt),
+                   min_size=1, max_size=5, unique_by=lambda t: t[0]).map(
+    lambda ps: [f"point {p}" + ("" if q is None else f" parent {q}")
+                for p, q in ps])
+_vars = st.lists(st.tuples(
+    st.sampled_from("abc"), st.sampled_from(["1", "3/2", "2", "0"]),
+    st.sampled_from(["", "", " span 1..3", " span 2..0"]) | st.lists(
+        _pt, min_size=1, max_size=3).map(
+        lambda ps: " points " + ",".join(map(str, ps)))),
+    max_size=3, unique_by=lambda t: t[0]).map(
+    lambda vs: [f"var {v} weight {w}{trailer}" for v, w, trailer in vs])
+_instrs = st.lists(
+    st.builds("instr {} uses {} defs {}".format, _pt, _ids, _ids), max_size=4)
+_live = st.sampled_from([[], ["livein"], ["liveout"], ["livein", "liveout"]]
+                        ).flatmap(lambda kinds: st.tuples(
+                            *(_ids.map(f"{k} {{}}".format) for k in kinds)))
+_junk = st.sampled_from([()] * 6 + [(junk,) for junk in (
+    "kind loop", "format spill-v1", "point", "var a", "var d weight 1/0",
+    "instr 1 uses a")])
+# the format record, a kind record, then the others in any order
+_spill_text = st.tuples(
+    st.sampled_from(["kind linear", "kind tree", "kind ranges", None]),
+    _points, _vars, _instrs, _live, _junk,
+).flatmap(lambda t: st.permutations([r for part in t[1:] for r in part]).map(
+    lambda records: "\n".join(["format spill-v1"]
+                              + ([t[0]] if t[0] else []) + records)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spill_text)
+def test_parse_raises_only_parse_error(text):
+    """Any list of records, cyclic parents included, parses to an
+    instance whose canonical text parses back to itself, or raises
+    ParseError."""
+    with within(1.0):
+        try:
+            inst = parse(text)
+        except ParseError:
+            return
+    text = serialize(inst)
+    assert serialize(parse(text)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([
+    lambda rng: random_linear_ranges(rng, w_max=9),
+    random_tree_ranges,
+    lambda rng: random_linear_code(rng, h=rng.choice((1, 2, 3))),
+    random_tree_code,
+]))
+def test_serialize_parse_fixed_point(seed, make):
+    text = serialize(make(seeded(seed)))
+    assert serialize(parse(text)) == text
 
 
 class TestSourceFiles:

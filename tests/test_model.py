@@ -20,12 +20,23 @@ from spillkit.model import (
     validate,
 )
 
-from builders import random_linear_code, random_tree_code, seeded
+from builders import random_linear_code, random_tree_code, seeded, within
 
 
 def linear_code(m, instrs, weights, livein=(), liveout=()):
     return Instance.from_code(LINEAR, [Point(p) for p in range(1, m + 1)],
                               instrs, weights, livein=livein, liveout=liveout)
+
+
+def ins(at, uses="", defs=""):
+    """Instruction over one-letter variables: ins(2, "ab") uses a and b."""
+    return Instruction(at, frozenset(uses), frozenset(defs))
+
+
+def tree_code(parents, instrs, weights, livein=()):
+    """Tree code over points 1..len(parents); parents[i] is point i+1's."""
+    pts = [Point(p, q) for p, q in enumerate(parents, start=1)]
+    return Instance.from_code(TREE, pts, instrs, weights, livein=livein)
 
 
 class TestValidate:
@@ -189,3 +200,82 @@ def test_tree_ranges_stay_connected():
     for _ in range(30):
         inst = random_tree_code(rng)
         assert validate(inst) == []
+
+
+# Malformed codes from_code tolerates, so that validate() can report them:
+# (builder, live variables per sample, chad variables per sample, ranges).
+# Samples run (1, use), (1, def), (2, use), ...; "ab" means {a, b}.
+TOLERATED = {
+    # a is used at 2 and defined at 3: its run is swapped, not dropped
+    "linear use before def": (
+        lambda: linear_code(4, [ins(2, "a"), ins(3, defs="a"), ins(4, "b")],
+                            {"a": 1, "b": 1}, livein={"b"}),
+        ["b", "b", "ab", "ab", "ab", "ab", "b", ""],
+        ["", "", "a", "", "", "a", "b", ""],
+        {"a": {2, 3}, "b": {1, 2, 3, 4}}),
+    # a is defined at 1 and again at 2, where it is also used
+    "use and def at one instruction": (
+        lambda: linear_code(4, [ins(1, defs="a"), ins(2, "a", "ab"), ins(4, "b")],
+                            {"a": 1, "b": 1}),
+        ["", "a", "a", "b", "b", "b", "b", ""],
+        ["", "a", "a", "b", "", "", "b", ""],
+        {"a": {1, 2}, "b": {2, 3, 4}}),
+    # a is defined at 2 but used at 3 and 4, a sibling's subtree
+    "tree use outside the definition's subtree": (
+        lambda: tree_code([None, 1, 1, 3], [ins(2, defs="a"), ins(4, "a"),
+                                            ins(3, "a")], {"a": 1}),
+        ["", "", "", "", "a", "a", "a", ""],
+        ["", "", "", "a", "a", "", "a", ""],
+        {"a": {2, 3, 4}}),
+    # point 3's parent 9 does not exist; a use there stays in the range
+    "orphan point": (
+        lambda: tree_code([None, 1, 9], [ins(1, defs="a"), ins(3, "a"),
+                                         ins(2, "a")], {"a": 1}),
+        ["", "a", "a", "", "a", ""],
+        ["", "a", "a", "", "a", ""],
+        {"a": {1, 2, 3}}),
+    "linear def-only variable": (
+        lambda: linear_code(3, [ins(2, defs="a"), ins(3, "b")],
+                            {"a": 1, "b": 1}, livein={"b"}),
+        ["b", "b", "b", "ab", "b", ""],
+        ["", "", "", "a", "b", ""],
+        {"a": {2}, "b": {1, 2, 3}}),
+    "tree def-only variable": (
+        lambda: tree_code([None, 1], [ins(2, defs="a")], {"a": 1}),
+        ["", "", "", "a"],
+        ["", "", "", "a"],
+        {"a": {2}}),
+    "linear live-in variable with no use": (
+        lambda: linear_code(3, [ins(2, defs="b")], {"a": 1, "b": 1},
+                            livein={"a"}),
+        ["a", "", "", "b", "", ""],
+        ["", "", "", "b", "", ""],
+        {"a": {1}, "b": {2}}),
+    "tree live-in variable with no use": (
+        lambda: tree_code([None, 1], [ins(2, defs="b")], {"a": 1, "b": 1},
+                          livein={"a"}),
+        ["a", "", "", "b"],
+        ["", "", "", "b"],
+        {"a": {1}, "b": {2}}),
+}
+
+
+@pytest.mark.parametrize("form", sorted(TOLERATED))
+def test_tolerated_malformed_code(form):
+    build, live, chads, ranges = TOLERATED[form]
+    inst = build()
+    assert ["".join(sorted(s)) for s in inst.live_at] == live
+    assert ["".join(sorted(s)) for s in inst.chads_at] == chads
+    assert {v: set(x.range.points) for v, x in inst.variables.items()} == ranges
+
+
+@pytest.mark.parametrize("parents", [[None, 2], [None, 3, 2]],
+                         ids=["self-parent", "two-cycle"])
+def test_cyclic_parents_end_and_are_reported(parents):
+    # a is defined at the root and used on the cycle, whose walk up to
+    # the definition never arrives
+    with within(1.0):
+        inst = tree_code(parents, [ins(1, defs="a"), ins(2, "a")], {"a": 1})
+    assert inst.variables["a"].range.points == {1, 2}
+    unreached = {v.subject for v in validate(inst) if v.code == "shape"}
+    assert unreached == {f"point {p}" for p in range(2, len(parents) + 1)}

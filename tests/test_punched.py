@@ -1,6 +1,6 @@
 import pytest
 
-from spillkit.errors import InfeasibleError, WrongShapeError
+from spillkit.errors import BudgetExceededError, InfeasibleError, WrongShapeError
 from spillkit.model import (
     HOLES,
     LINEAR,
@@ -13,7 +13,7 @@ from spillkit.model import (
 from spillkit.oracle import brute_force, brute_force_all, verify
 from spillkit.punched import extra_set_dp
 
-from builders import random_linear_code, seeded
+from builders import random_linear_code, seeded, within
 
 
 def spanning_code():
@@ -44,6 +44,17 @@ class TestExtraSetDp:
             {"a": 1})
         with pytest.raises(InfeasibleError):
             extra_set_dp(inst, inst.omega)  # r = 0, chads force pressure 1
+
+    def test_state_budget_caps_work_in_a_wide_column(self):
+        # 40 variables span a code-backed block: lowering omega by 18
+        # takes an extra set of 18 or more variables out of 40
+        vs = [f"v{i}" for i in range(40)]
+        inst = Instance.from_code(
+            LINEAR, [Point(1), Point(2)],
+            [Instruction(1, frozenset({"v0"}), frozenset())],
+            {v: 1 for v in vs}, livein=vs, liveout=vs)
+        with within(1.0), pytest.raises(BudgetExceededError):
+            extra_set_dp(inst, 18, state_budget=1000)
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):

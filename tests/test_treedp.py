@@ -22,6 +22,7 @@ from builders import (
     random_tree_code,
     random_tree_ranges,
     seeded,
+    within,
 )
 
 
@@ -75,6 +76,15 @@ class TestFittingSetDp:
                                     {v: 1 for v in ranges})
         with pytest.raises(BudgetExceededError):
             fitting_set_dp(inst, 9, state_budget=50)
+
+    def test_state_budget_caps_work_in_a_wide_column(self):
+        # 40 variables live over two points: a column has about 6e11
+        # candidate fitting sets of size <= 20, and only few fit a budget
+        ranges = {f"v{i}": [1, 2] for i in range(40)}
+        inst = Instance.from_ranges(LINEAR, [Point(1), Point(2)], ranges,
+                                    {v: 1 for v in ranges})
+        with within(1.0), pytest.raises(BudgetExceededError):
+            fitting_set_dp(inst, 20, state_budget=1000)
 
     def test_negative_k_rejected(self):
         inst = Instance.from_ranges(LINEAR, [Point(1)], {"a": [1]}, {"a": 1})
