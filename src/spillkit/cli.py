@@ -7,7 +7,9 @@ import json
 import random
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import cache
 
 from . import oracle
 from .errors import (
@@ -40,7 +42,7 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
 
-DEFAULT_HMAX = 2
+HMAX = 2  # largest h for which auto picks dp-extra
 
 ALGOS = ("auto", "greedy", "flow", "dp-cover", "dp-fit", "dp-fit-holes",
          "dp-extra", "bnb", "brute")
@@ -66,7 +68,7 @@ def _resolve_r(form, value, omega):
     return value
 
 
-def _pick_auto(inst, mode, form, r_val, hmax):
+def _pick_auto(inst, mode, form, r_val):
     """Algorithm-selection matrix: the polynomial algorithm of the regime
     when one exists, branch-and-bound otherwise."""
     if mode == NOHOLES:
@@ -76,7 +78,7 @@ def _pick_auto(inst, mode, form, r_val, hmax):
     if form == "few":
         return "dp-fit-holes"
     if form == "omega" and inst.shape == LINEAR and inst.code_backed \
-            and inst.h <= hmax:
+            and inst.h <= HMAX:
         return "dp-extra"
     return "bnb"
 
@@ -166,7 +168,7 @@ def _cmd_solve(args, out, err):
     r_val = _resolve_r(form, value, inst.omega)
     algo = args.algo
     if algo == "auto":
-        algo = _pick_auto(inst, mode, form, r_val, args.hmax)
+        algo = _pick_auto(inst, mode, form, r_val)
     try:
         sol = _run_algo(algo, inst, mode, form, r_val)
     except InfeasibleError as exc:
@@ -311,7 +313,9 @@ def _read(path):
         return fh.read()
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="spillkit",
         description="Spill-everywhere solvers for SSA programs")
@@ -323,8 +327,6 @@ def build_parser():
     sp.add_argument("--mode", required=True, choices=("holes", "noholes"))
     sp.add_argument("--algo", default="auto", choices=ALGOS)
     sp.add_argument("--json", help="write a machine-readable report here")
-    sp.add_argument("--hmax", type=int, default=DEFAULT_HMAX,
-                    help="largest h for which auto may pick dp-extra")
     sp.add_argument("file")
 
     cp = sub.add_parser("check", help="validate an instance, test chordality")
@@ -357,9 +359,10 @@ _COMMANDS = {"solve": _cmd_solve, "check": _cmd_check, "gen": _cmd_gen,
 def run(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    ap = build_parser()
+    # argparse writes --help and usage errors to sys.stdout / sys.stderr
     try:
-        args = ap.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

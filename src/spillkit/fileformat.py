@@ -208,10 +208,11 @@ def parse(text):
     problems = validate(inst)
     if problems:
         v = problems[0]
-        lines = {f"point {pid}": ln for pid, ln in point_lines.items()}
-        for line, ins in instrs:
-            lines[f"point {ins.at}"] = line
-        lines.update({vid: line for line, vid, *_ in var_rows})
+        # "point N" is N's record in a shape problem and N's instruction
+        # in an instr problem; any other subject is a variable
+        lines = {"shape": {f"point {p}": ln for p, ln in point_lines.items()},
+                 "instr": {f"point {i.at}": ln for ln, i in instrs},
+                 }.get(v.code, {vid: ln for ln, vid, *_ in var_rows})
         raise ParseError(f"invalid instance ({len(problems)} problem(s)); "
                          f"first: {v}", lines.get(v.subject, 1))
     return inst

@@ -12,7 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import UnsupportedModeError, WrongShapeError
-from .model import LINEAR, NOHOLES, SpillSolution, check_mode, pressure
+from .model import (LINEAR, NOHOLES, MaskView, SpillSolution, check_mode,
+                    pressure, run_starts)
 
 
 def _require_linear_noholes(instance, mode, what):
@@ -31,17 +32,6 @@ def _spans(instance):
             s = spans.get(v)
             spans[v] = (i, i) if s is None else (s[0], i)
     return spans
-
-
-def _compressed_columns(instance):
-    """(sample index, live set) for runs of identical consecutive live sets."""
-    cols = []
-    prev = None
-    for i, live in enumerate(instance.live_at):
-        if live != prev:
-            cols.append((i, live))
-            prev = live
-    return cols
 
 
 def _solution(instance, spilled, algorithm, steps):
@@ -70,8 +60,8 @@ def greedy_furthest(instance, r, mode=NOHOLES):
                for v in spans}
     spilled = set()
     steps = 0
-    for i, live in _compressed_columns(instance):
-        active = set(live) - spilled
+    for i in run_starts(instance.live_at):
+        active = set(instance.live_at[i]) - spilled
         steps += 1
         while len(active) > r:
             victim = min(active, key=lambda v: (-end_key[v], v))
@@ -143,13 +133,12 @@ class _MinCostFlow:
 
 def _flow_solve(instance, r):
     """Returns (kept set, flow per variable arc, dijkstra pops)."""
-    order = instance.var_order()
-    weights, _ = instance.scaled_weights(order)
+    view = MaskView(instance)
     spans = _spans(instance)
     n_samples = len(instance.samples)
 
     coords = {0, n_samples}
-    for v in order:
+    for v in view.order:
         s, e = spans[v]
         coords.add(s)
         coords.add(e + 1)
@@ -160,7 +149,7 @@ def _flow_solve(instance, r):
     for i in range(len(coords) - 1):
         f.add_edge(i, i + 1, r, 0)
     var_edge = {}
-    for v, w in zip(order, weights):
+    for v, w in zip(view.order, view.weights):
         s, e = spans[v]
         a, b = node[s], node[e + 1]
         var_edge[v] = (a, len(f.graph[a]))
@@ -211,10 +200,11 @@ def incremental_cover_dp(instance, mode=NOHOLES):
     if omega == 0:
         return _solution(instance, frozenset(), "dp-cover", 0)
     spans = _spans(instance)
-    order = instance.var_order()
-    weight = dict(zip(order, instance.scaled_weights(order)[0]))
-    cols = _compressed_columns(instance)
-    peaks = [(i, live) for i, live in cols if len(live) == omega]
+    view = MaskView(instance)
+    weight = dict(zip(view.order, view.weights))
+    live_at = instance.live_at
+    peaks = [(i, live_at[i]) for i in run_starts(live_at)
+             if len(live_at[i]) == omega]
     coords = [i for i, _ in peaks]
 
     # best[k]: (cost, chosen var, predecessor peak index) covering peaks 0..k

@@ -12,7 +12,7 @@ so a variable born at a point never overlaps one dying there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -267,13 +267,6 @@ class Instance:
     def weight(self, vid):
         return self.variables[vid].weight
 
-    def scaled_weights(self, order):
-        """(integer weights parallel to `order`, scale): the weights times
-        the lcm of their denominators, so solvers add ints, not Fractions."""
-        ws = [self.variables[v].weight for v in order]
-        scale = lcm(*(w.denominator for w in ws))
-        return [w.numerator * (scale // w.denominator) for w in ws], scale
-
     def cost_of(self, spilled):
         return sum((self.variables[v].weight for v in spilled), Fraction(0))
 
@@ -302,6 +295,66 @@ class Instance:
     def __repr__(self):
         return (f"Instance({self.shape}, m={self.n_points}, n={self.n_vars}, "
                 f"omega={self.omega}, h={self.h})")
+
+
+class MaskView:
+    """The bit-mask view of an instance that the solvers read, built per
+    call and not kept on the instance.
+
+    Bit i stands for variable order[i] (sorted ids unless the caller
+    passes an order), bit[v] is v's one-bit mask, and weights[i] is
+    order[i]'s weight times `scale`, the lcm of the denominators. live()
+    and chad() list each sample's mask of live variables and of chads.
+    They are built on request, as the interval solvers read only the
+    weights (the masks of a 3,000-point block cost a quarter of its flow
+    solve).
+    """
+
+    def __init__(self, instance, order=None):
+        self.instance = instance
+        self.order = instance.var_order() if order is None else list(order)
+        self.bit = {v: 1 << i for i, v in enumerate(self.order)}
+        ws = [instance.variables[v].weight for v in self.order]
+        self.scale = lcm(*(w.denominator for w in ws))
+        self.weights = [w.numerator * (self.scale // w.denominator) for w in ws]
+
+    def live(self):
+        return self._masks(self.instance.live_at)
+
+    def chad(self):
+        return self._masks(self.instance.chads_at)
+
+    def _masks(self, sets):
+        bit = self.bit
+        masks = []
+        for s in sets:
+            m = 0
+            for v in s:
+                m |= bit[v]
+            masks.append(m)
+        return masks
+
+    def weight(self, mask):
+        """Scaled weight of the variables in `mask`."""
+        return sum(map(self.weights.__getitem__, bits(mask)))
+
+    def decode(self, mask):
+        """The variable ids in `mask`."""
+        return frozenset(map(self.order.__getitem__, bits(mask)))
+
+
+def bits(mask):
+    """The indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def run_starts(columns):
+    """The index of the first column of each run of equal consecutive
+    columns; solvers that sweep the samples in order visit only these."""
+    return [i for i, c in enumerate(columns) if i == 0 or c != columns[i - 1]]
 
 
 def _point_structure(shape, points):

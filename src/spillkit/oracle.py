@@ -9,10 +9,11 @@ first-class result, not an error.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 from . import kernel
 from .errors import SizeCapError
-from .model import HOLES, SpillSolution, check_mode, pressure
+from .model import HOLES, MaskView, SpillSolution, bits, check_mode, pressure
 
 DEFAULT_CAP = 20
 DEFAULT_ALL_CAP = 100_000
@@ -20,33 +21,18 @@ DEFAULT_NODE_BUDGET = 1_000_000
 
 
 def encode(instance, mode, order=None):
-    """Bitmask tables for the kernel: (order, scaled weights, scale, rows).
+    """The instance's mask view and its kernel rows: (view, live masks,
+    chad masks), bits in `order` (default: sorted ids).
 
-    Rows are deduplicated (live mask, chad mask) pairs; identical pressure
-    constraints contribute nothing new to feasibility.
+    Rows are the sorted, deduplicated (live mask, chad mask) pairs of the
+    samples, chad masks 0 without holes; identical pressure constraints
+    contribute nothing new to feasibility.
     """
     check_mode(mode)
-    if order is None:
-        order = instance.var_order()
-    bit = {v: i for i, v in enumerate(order)}
-    weights, scale = instance.scaled_weights(order)
-    holes = mode == HOLES
-    rows = set()
-    for live, chads in zip(instance.live_at, instance.chads_at):
-        lm = 0
-        for v in live:
-            lm |= 1 << bit[v]
-        cm = 0
-        if holes:
-            for v in chads:
-                cm |= 1 << bit[v]
-        rows.add((lm, cm))
-    rows = sorted(rows)
-    return order, weights, scale, [lm for lm, _ in rows], [cm for _, cm in rows]
-
-
-def _decode(mask, order):
-    return frozenset(v for i, v in enumerate(order) if mask >> i & 1)
+    view = MaskView(instance, order)
+    chad = view.chad() if mode == HOLES else repeat(0)
+    rows = sorted(set(zip(view.live(), chad)))
+    return view, [lm for lm, _ in rows], [cm for _, cm in rows]
 
 
 def _solution(instance, spilled, mode, algorithm, steps, proven=True):
@@ -75,13 +61,13 @@ def brute_force(instance, r, mode, cap=DEFAULT_CAP):
     n = instance.n_vars
     if n > cap:
         raise SizeCapError(n, cap)
-    order, weights, _, live, chad = encode(instance, mode)
+    view, live, chad = encode(instance, mode)
     holes = mode == HOLES
-    cost, mask = kernel.sweep(n, weights, live, chad, r, holes)
+    cost, mask = kernel.sweep(n, view.weights, live, chad, r, holes)
     steps = 1 << n
     if cost is None:
         return _infeasible(instance, mode, "brute", steps)
-    return _solution(instance, _decode(mask, order), mode, "brute", steps)
+    return _solution(instance, view.decode(mask), mode, "brute", steps)
 
 
 def brute_force_all(instance, r, mode, cap=DEFAULT_CAP, all_cap=DEFAULT_ALL_CAP):
@@ -89,14 +75,15 @@ def brute_force_all(instance, r, mode, cap=DEFAULT_CAP, all_cap=DEFAULT_ALL_CAP)
     n = instance.n_vars
     if n > cap:
         raise SizeCapError(n, cap)
-    order, weights, _, live, chad = encode(instance, mode)
+    view, live, chad = encode(instance, mode)
     holes = mode == HOLES
-    cost, mask = kernel.sweep(n, weights, live, chad, r, holes)
+    cost, mask = kernel.sweep(n, view.weights, live, chad, r, holes)
     if cost is None:
         return _infeasible(instance, mode, "brute", 1 << n), [], False
-    masks, truncated = kernel.sweep_all(n, weights, live, chad, r, holes, cost, all_cap)
-    best = _solution(instance, _decode(mask, order), mode, "brute", 1 << n)
-    return best, [_decode(m, order) for m in masks], truncated
+    masks, truncated = kernel.sweep_all(n, view.weights, live, chad, r, holes,
+                                        cost, all_cap)
+    best = _solution(instance, view.decode(mask), mode, "brute", 1 << n)
+    return best, [view.decode(m) for m in masks], truncated
 
 
 def verify(instance, spilled, r, mode):
@@ -118,8 +105,8 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
 
     # Cheap, high-relief variables first (relief = live and chad-free rows
     # that are over-pressured before any spilling).
-    base_order = instance.var_order()
-    _, w0, _, live0, chad0 = encode(instance, mode, base_order)
+    view0, live0, chad0 = encode(instance, mode)
+    base_order = view0.order
     over0 = [j for j, lm in enumerate(live0) if lm.bit_count() > r]
 
     def sort_key(i):
@@ -127,10 +114,11 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
         cov = sum(1 for j in over0 if live0[j] & b and not chad0[j] & b)
         if cov == 0:
             return (1, Fraction(0), base_order[i])
-        return (0, Fraction(w0[i], cov), base_order[i])
+        return (0, Fraction(view0.weights[i], cov), base_order[i])
 
     order = [base_order[i] for i in sorted(range(n), key=sort_key)]
-    _, weights, _, live, chad = encode(instance, mode, order)
+    view, live, chad = encode(instance, mode, order)
+    weights = view.weights
     rows = list(range(len(live)))
     full = (1 << n) - 1
 
@@ -165,7 +153,7 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
             if u.bit_count() < over:
                 return True, 0, True
             if u & used == 0:
-                ws = sorted(weights[b] for b in _bits(u))
+                ws = sorted(weights[b] for b in bits(u))
                 lb += sum(ws[:over])
                 used |= u
         return False, lb, any_over
@@ -198,12 +186,5 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
 
     if best_cost is None:
         return _infeasible(instance, mode, "bnb", steps, proven=not budget_hit)
-    spilled = _decode(best_mask, order)
+    spilled = view.decode(best_mask)
     return _solution(instance, spilled, mode, "bnb", steps, proven=not budget_hit)
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

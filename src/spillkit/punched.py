@@ -16,7 +16,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import BudgetExceededError, InfeasibleError, WrongShapeError
-from .model import HOLES, LINEAR, SpillSolution, pressure
+from .model import (HOLES, LINEAR, MaskView, SpillSolution, bits, pressure,
+                    run_starts)
 
 DEFAULT_STATE_BUDGET = 10_000_000
 
@@ -38,32 +39,8 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     omega = instance.omega
     r = omega - k
     cap = 2 * (instance.h + k)
-    order = instance.var_order()
-    bit = {v: i for i, v in enumerate(order)}
-    w, _ = instance.scaled_weights(order)
-
-    # Compress runs of identical (live, chad) sample columns; the matching
-    # constraint between equal columns is the identity.
-    cols = []
-    prev = None
-    for s, live, chad in zip(instance.samples, instance.live_at, instance.chads_at):
-        lm = 0
-        for v in live:
-            lm |= 1 << bit[v]
-        cm = 0
-        for v in chad:
-            cm |= 1 << bit[v]
-        if (lm, cm) != prev:
-            cols.append((s, lm, cm))
-            prev = (lm, cm)
-
-    def mask_weight(mask):
-        t = 0
-        while mask:
-            low = mask & -mask
-            t += w[low.bit_length() - 1]
-            mask ^= low
-        return t
+    view = MaskView(instance)
+    live, chad = view.live(), view.chad()
 
     steps = 0
     work = 0  # candidate extra sets charged against state_budget
@@ -71,7 +48,10 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     prev_live = 0
     prev_layer = {}
     first = True
-    for (pt, mom), lm, cm in cols:
+    # Runs of identical (live, chad) columns are visited once; the
+    # matching constraint between equal columns is the identity.
+    for i in run_starts(list(zip(live, chad))):
+        lm, cm = live[i], chad[i]
         need = lm.bit_count() - r  # minimum relief this column requires
         groups = {}
         if not first:
@@ -81,32 +61,31 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
                 cur = groups.get(key)
                 if cur is None or cost < cur[0]:
                     groups[key] = (cost, state)
-        universe = sorted(b for b in range(len(order)) if lm >> b & 1)
+        universe = [1 << b for b in bits(lm)]
         sizes = range(max(0, need), min(cap, len(universe)) + 1)
         work += sum(comb(len(universe), size) for size in sizes)
         if work > state_budget:
             raise BudgetExceededError(
                 f"extra-set DP exceeded its budget of {state_budget} "
-                f"candidate sets (cap {cap} over {len(order)} variables); "
+                f"candidate sets (cap {cap} over {len(view.order)} variables); "
                 "use the exact oracle")
         layer = {}
         for size in sizes:
             for combo in combinations(universe, size):
                 steps += 1
-                e = 0
-                for b in combo:
-                    e |= 1 << b
+                e = sum(combo)
                 if (e & ~cm).bit_count() < need:
                     continue
                 if first:
-                    layer[e] = (mask_weight(e), None)
+                    layer[e] = (view.weight(e), None)
                 else:
                     hit = groups.get(e & prev_live)
                     if hit is None:
                         continue
                     cost0, pstate = hit
-                    layer[e] = (cost0 + mask_weight(e & ~prev_live), pstate)
+                    layer[e] = (cost0 + view.weight(e & ~prev_live), pstate)
         if not layer:
+            pt, mom = instance.samples[i]
             raise InfeasibleError(
                 f"no extra set of size <= {cap} reaches pressure {r} "
                 f"at point {pt} ({mom} moment)", witness=(pt, mom))
@@ -115,19 +94,12 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
         prev_live = lm
         first = False
 
-    best_state = None
-    best = None
-    for state, (cost, _) in prev_layer.items():
-        if best is None or cost < best:
-            best = cost
-            best_state = state
-
     spilled_mask = 0
-    state = best_state
+    state = min(prev_layer, key=lambda e: prev_layer[e][0])  # first cheapest
     for layer in reversed(layers):
         spilled_mask |= state
         state = layer[state][1]
-    spilled = frozenset(order[b] for b in range(len(order)) if spilled_mask >> b & 1)
+    spilled = view.decode(spilled_mask)
     return SpillSolution(
         spilled=spilled,
         cost=instance.cost_of(spilled),

@@ -18,10 +18,11 @@ from .errors import BudgetExceededError, InfeasibleError, UnsupportedModeError
 from .model import (
     DEF,
     HOLES,
-    LINEAR,
     NOHOLES,
     USE,
+    MaskView,
     SpillSolution,
+    bits,
     pressure,
 )
 
@@ -59,30 +60,33 @@ def _solve_fitting(instance, k, holes, state_budget):
                     f"even the full spill leaves pressure {len(chads)} > {k} "
                     f"at point {pt} ({mom} moment)", witness=(pt, mom))
 
-    order = instance.var_order()
-    weights = dict(zip(order, instance.scaled_weights(order)[0]))
+    view = MaskView(instance)
+    w = view.weights
     children = _sample_children(instance)
-    live = instance.live_at
-    chad = instance.chads_at
+    live = view.live()
+    chad = view.chad() if holes else None
     steps = 0
     work = 0  # candidate fitting sets charged against state_budget
 
-    # tables[i]: {kept frozenset -> (cost, backptrs)}; backptrs pair child
-    # sample index with the chosen child state.
+    # tables[i]: {kept mask -> (kept weight, backptrs)}; backptrs pair
+    # child sample index with the chosen child state.
     tables = [None] * len(instance.samples)
     for i in reversed(range(len(instance.samples))):
+        # per child: shared kept mask -> (best child state, its kept
+        # weight less the shared part, which the parent state counts)
         groups = []
         for c in children[i]:
             g = {}
             for fc, (cost_c, _) in tables[c].items():
                 key = fc & live[i]
+                extra = cost_c - view.weight(key)
                 cur = g.get(key)
-                if cur is None or cost_c > cur[1]:
-                    g[key] = (fc, cost_c)
+                if cur is None or extra > cur[1]:
+                    g[key] = (fc, extra)
             groups.append((c, g))
 
         table = {}
-        universe = sorted(live[i])
+        universe = [(1 << b, w[b]) for b in bits(live[i])]
         sizes = range(min(k, len(universe)) + 1)
         work += sum(comb(len(universe), size) for size in sizes)
         if work > state_budget:
@@ -90,14 +94,15 @@ def _solve_fitting(instance, k, holes, state_budget):
                 f"fitting-set DP exceeded its budget of {state_budget} "
                 "candidate sets; use weighted_optimal for linear instances "
                 "or the exact oracle")
-        base_chads = chad[i] if holes else frozenset()
         for size in sizes:
             for combo in combinations(universe, size):
                 steps += 1
-                f = frozenset(combo)
-                if holes and size + len(base_chads - f) > k:
+                f = cost = 0
+                for b, wb in combo:
+                    f |= b
+                    cost += wb
+                if holes and size + (chad[i] & ~f).bit_count() > k:
                     continue
-                cost = sum(weights[v] for v in f)
                 back = []
                 dead = False
                 for c, g in groups:
@@ -106,8 +111,8 @@ def _solve_fitting(instance, k, holes, state_budget):
                     if hit is None:
                         dead = True
                         break
-                    fc, cost_c = hit
-                    cost += cost_c - sum(weights[v] for v in f & live[c])
+                    fc, extra = hit
+                    cost += extra
                     back.append((c, fc))
                 if dead:
                     continue
@@ -119,22 +124,15 @@ def _solve_fitting(instance, k, holes, state_budget):
                 f"({mom} moment)", witness=(pt, mom))
         tables[i] = table
 
-    root = 0
-    best_f = None
-    best = None
-    for f, (cost, _) in tables[root].items():
-        if best is None or cost > best:
-            best = cost
-            best_f = f
-
-    kept = set()
-    stack = [(root, best_f)]
+    root = tables[0]
+    kept = 0
+    stack = [(0, max(root, key=lambda f: root[f][0]))]  # first heaviest
     while stack:
         i, f = stack.pop()
         kept |= f
         for c, fc in tables[i][f][1]:
             stack.append((c, fc))
-    spilled = frozenset(instance.variables) - kept
+    spilled = frozenset(instance.variables) - view.decode(kept)
     return SpillSolution(
         spilled=spilled,
         cost=instance.cost_of(spilled),

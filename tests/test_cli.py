@@ -103,6 +103,17 @@ var y weight 1
                            belady_file)
         assert code == 1 and "code-backed" in err
 
+    def test_argparse_output_goes_to_the_given_streams(self, capsys):
+        code, out, err = cli("solve", "--mode", "holes")
+        assert code == 1 and out == ""
+        assert "usage: spillkit solve" in err and "--target" in err
+        code, out, err = cli("solve", "--help")
+        assert code == 0 and "--target" in out and err == ""
+        code, _, err = cli("solve", "--target", "r=1", "--mode", "noholes",
+                           "--hmax", "3", "x.spill")
+        assert code == 1 and "unrecognized arguments: --hmax" in err
+        assert capsys.readouterr() == ("", "")
+
     def test_parse_error_exit(self, tmp_path):
         f = tmp_path / "bad.spill"
         f.write_text("format spill-v1\nkind linear\npoint 1\nnonsense\n")
@@ -165,7 +176,7 @@ var b weight 2
         assert report_fields(out)["solver.algo"] == "dp-extra"
 
     def test_holes_unbounded_h_goes_bnb(self, tmp_path):
-        # a cover-style instance with h = 3 exceeds the default hmax of 2
+        # a cover-style instance with h = 3 exceeds cli.HMAX, 2
         src = tmp_path / "cov.src"
         src.write_text("source mincover\nground b1,b2\nmember b1\nmember b1\n"
                        "member b1\nmember b1,b2\nbound 1\n")

@@ -157,8 +157,9 @@ var a weight 1
 
 @pytest.mark.parametrize("name", sorted(CYCLIC))
 def test_cyclic_parents_rejected(name):
-    with within(1.0), pytest.raises(ParseError, match="not reachable"):
+    with within(1.0), pytest.raises(ParseError, match="not reachable") as exc:
         parse(CYCLIC[name])
+    assert exc.value.line == 4  # the record of point 2
 
 
 @pytest.mark.parametrize("text", [

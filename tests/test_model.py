@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +14,13 @@ from spillkit.model import (
     USE,
     Instance,
     Instruction,
+    MaskView,
     Point,
     is_chordal,
     live_ranges,
     perfect_elimination_order,
     pressure,
+    run_starts,
     validate,
 )
 
@@ -279,3 +283,19 @@ def test_cyclic_parents_end_and_are_reported(parents):
     assert inst.variables["a"].range.points == {1, 2}
     unreached = {v.subject for v in validate(inst) if v.code == "shape"}
     assert unreached == {f"point {p}" for p in range(2, len(parents) + 1)}
+
+
+def test_mask_view():
+    inst = linear_code(3, [Instruction(1, frozenset(), frozenset("b")),
+                           Instruction(2, frozenset("b"), frozenset("a")),
+                           Instruction(3, frozenset("a"), frozenset())],
+                       {"a": Fraction(1, 2), "b": Fraction(2, 3)})
+    view = MaskView(inst)
+    assert view.order == ["a", "b"] and view.bit == {"a": 1, "b": 2}
+    assert view.scale == 6 and view.weights == [3, 4]
+    # samples (1,use) (1,def) (2,use) (2,def) (3,use) (3,def)
+    assert view.live() == [0, 2, 2, 1, 1, 0]
+    assert view.chad() == [0, 2, 2, 1, 1, 0]
+    assert view.weight(3) == 7 and view.decode(3) == {"a", "b"}
+    assert MaskView(inst, ["b", "a"]).live() == [0, 1, 1, 2, 2, 0]
+    assert run_starts(view.live()) == [0, 1, 3, 5]

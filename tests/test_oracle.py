@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spillkit import kernel
-from spillkit.errors import SizeCapError
-from spillkit.intervals import weighted_optimal
+from spillkit.errors import InfeasibleError, SizeCapError
+from spillkit.intervals import (
+    greedy_furthest,
+    incremental_cover_dp,
+    weighted_optimal,
+)
 from spillkit.model import (
     HOLES,
     LINEAR,
@@ -17,10 +23,13 @@ from spillkit.oracle import (
     brute_force_all,
     verify,
 )
+from spillkit.punched import extra_set_dp
+from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
 from builders import (
     random_linear_code,
     random_linear_ranges,
+    random_tree_code,
     random_tree_ranges,
     seeded,
 )
@@ -167,3 +176,55 @@ class TestBranchAndBound:
             r = rng.randint(0, inst.omega)
             assert branch_and_bound(inst, r, NOHOLES).cost == \
                 brute_force(inst, r, NOHOLES).cost
+
+
+_CODES = {
+    "linear ranges, unit": lambda rng: random_linear_ranges(
+        rng, n_max=9, m_max=12),
+    "linear ranges, weighted": lambda rng: random_linear_ranges(
+        rng, n_max=9, m_max=12, w_max=9),
+    "tree ranges": lambda rng: random_tree_ranges(rng, n_max=9, p_max=10),
+    "linear code": lambda rng: random_linear_code(
+        rng, h=rng.choice((1, 2, 3)), n_max=9),
+    "tree code": lambda rng: random_tree_code(rng, n_max=9, p_max=10),
+}
+
+
+def _polynomial_solvers(inst, r, mode):
+    """(name, call) for every polynomial solver defined on inst at r."""
+    if mode == NOHOLES:
+        yield "dp-fit", lambda: fitting_set_dp(inst, r)
+        if inst.shape == LINEAR:
+            yield "flow", lambda: weighted_optimal(inst, r)
+            if inst.unweighted():
+                yield "greedy", lambda: greedy_furthest(inst, r)
+            if r == inst.omega - 1:
+                yield "dp-cover", lambda: incremental_cover_dp(inst)
+    else:
+        yield "dp-fit-holes", lambda: fitting_set_dp_holes(inst, r)
+        if inst.shape == LINEAR and r < inst.omega:
+            yield "dp-extra", lambda: extra_set_dp(inst, inst.omega - r)
+    yield "bnb", lambda: branch_and_bound(inst, r, mode)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_CODES)), st.integers(0, 2**32), st.data())
+def test_polynomial_solvers_match_brute_force(family, seed, data):
+    """Every solver the regime admits agrees with the exhaustive oracle on
+    feasibility and cost, at every target from 0 (infeasible under holes
+    wherever a chad lies) to omega."""
+    inst = _CODES[family](seeded(seed))
+    modes = [NOHOLES, HOLES] if inst.code_backed else [NOHOLES]
+    mode = data.draw(st.sampled_from(modes), label="mode")
+    r = data.draw(st.integers(0, inst.omega), label="r")
+    ref = brute_force(inst, r, mode)
+    for name, solve in _polynomial_solvers(inst, r, mode):
+        try:
+            sol = solve()
+        except InfeasibleError:
+            assert not ref.feasible, name
+            continue
+        assert sol.feasible == ref.feasible, name
+        if ref.feasible:
+            assert sol.cost == ref.cost, name
+            assert verify(inst, sol.spilled, r, mode) == [], name
