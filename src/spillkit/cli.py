@@ -63,9 +63,10 @@ def _parse_target(text):
 
 
 def _resolve_r(form, value, omega):
-    if form == "omega":
-        return omega - value
-    return value
+    r = omega - value if form == "omega" else value
+    if r < 0:
+        raise ValueError(f"target resolves to r = {r}; it must be >= 0")
+    return r
 
 
 def _pick_auto(inst, mode, form, r_val):
@@ -169,14 +170,7 @@ def _cmd_solve(args, out, err):
     algo = args.algo
     if algo == "auto":
         algo = _pick_auto(inst, mode, form, r_val)
-    try:
-        sol = _run_algo(algo, inst, mode, form, r_val)
-    except InfeasibleError as exc:
-        err.write(f"infeasible: {exc}\n")
-        return EXIT_INFEASIBLE
-    except BudgetExceededError as exc:
-        err.write(f"budget exceeded: {exc}\n")
-        return EXIT_BUDGET
+    sol = _run_algo(algo, inst, mode, form, r_val)  # run() reports errors
     _report(inst, sol, out)
     if args.json:
         with open(args.json, "w") as fh:
@@ -201,9 +195,15 @@ def _cmd_check(args, out, err):
     if problems:
         return EXIT_USAGE
     if args.solution:
+        if args.target is None:
+            raise ValueError("--solution needs --target")
         with open(args.solution) as fh:
             rep = json.load(fh)
-        spilled = set(rep["solution"]["spilled"])
+        try:
+            spilled = set(rep["solution"]["spilled"])
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"{args.solution} has no solution.spilled list") from None
         form, value = _parse_target(args.target)
         mode = HOLES if args.mode == "holes" else NOHOLES
         r_val = _resolve_r(form, value, inst.omega)

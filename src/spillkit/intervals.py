@@ -12,8 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import UnsupportedModeError, WrongShapeError
-from .model import (LINEAR, NOHOLES, MaskView, SpillSolution, check_mode,
-                    pressure, run_starts)
+from .model import (LINEAR, NOHOLES, MaskView, SpillSolution, bits,
+                    check_mode, pressure, run_starts)
 
 
 def _require_linear_noholes(instance, mode, what):
@@ -22,16 +22,6 @@ def _require_linear_noholes(instance, mode, what):
         raise WrongShapeError(f"{what} handles linear codes only")
     if mode != NOHOLES:
         raise UnsupportedModeError(f"{what} is defined without holes only")
-
-
-def _spans(instance):
-    """Per-variable (start, end) sample indices; contiguous for linear codes."""
-    spans = {}
-    for i, live in enumerate(instance.live_at):
-        for v in live:
-            s = spans.get(v)
-            spans[v] = (i, i) if s is None else (s[0], i)
-    return spans
 
 
 def _solution(instance, spilled, algorithm, steps):
@@ -53,21 +43,23 @@ def greedy_furthest(instance, r, mode=NOHOLES):
     _require_linear_noholes(instance, mode, "greedy_furthest")
     if r < 0:
         raise ValueError("register count r must be >= 0")
-    n_samples = len(instance.samples)
-    spans = _spans(instance)
-    # live-out ranges end past the block: always preferred at equal ends
-    end_key = {v: (n_samples if v in instance.liveout else spans[v][1])
-               for v in spans}
-    spilled = set()
+    # per bit, the sample its range ends at; live-out ranges end past the
+    # block, so they are always preferred at equal ends
+    end = [len(instance.samples) if v in instance.liveout
+           else instance.spans.get(v, (0, 0))[1] for v in instance.var_ids]
+    live = instance.live_masks
+    spilled = 0
     steps = 0
-    for i in run_starts(instance.live_at):
-        active = set(instance.live_at[i]) - spilled
+    for i in run_starts(live):
+        active = live[i] & ~spilled
         steps += 1
-        while len(active) > r:
-            victim = min(active, key=lambda v: (-end_key[v], v))
-            spilled.add(victim)
-            active.discard(victim)
+        for _ in range(active.bit_count() - r):
+            # furthest end; the first such bit is the least id
+            victim = 1 << max(bits(active), key=end.__getitem__)
+            spilled |= victim
+            active ^= victim
             steps += 1
+    spilled = instance.decode(spilled)
     return _solution(instance, spilled, "greedy", steps)
 
 
@@ -134,14 +126,12 @@ class _MinCostFlow:
 def _flow_solve(instance, r):
     """Returns (kept set, flow per variable arc, dijkstra pops)."""
     view = MaskView(instance)
-    spans = _spans(instance)
+    spans = instance.spans
     n_samples = len(instance.samples)
 
     coords = {0, n_samples}
-    for v in view.order:
-        s, e = spans[v]
-        coords.add(s)
-        coords.add(e + 1)
+    for s, e in spans.values():
+        coords.update((s, e + 1))
     coords = sorted(coords)
     node = {c: i for i, c in enumerate(coords)}
 
@@ -199,32 +189,28 @@ def incremental_cover_dp(instance, mode=NOHOLES):
     omega = instance.omega
     if omega == 0:
         return _solution(instance, frozenset(), "dp-cover", 0)
-    spans = _spans(instance)
     view = MaskView(instance)
-    weight = dict(zip(view.order, view.weights))
-    live_at = instance.live_at
-    peaks = [(i, live_at[i]) for i in run_starts(live_at)
-             if len(live_at[i]) == omega]
-    coords = [i for i, _ in peaks]
+    live = instance.live_masks
+    peaks = [i for i in run_starts(live) if live[i].bit_count() == omega]
 
-    # best[k]: (cost, chosen var, predecessor peak index) covering peaks 0..k
+    # best[k]: (cost, chosen bit, predecessor peak index) covering peaks 0..k
     best = []
     steps = 0
-    for k, (i, live) in enumerate(peaks):
+    for i in peaks:
         cand = None
-        for v in sorted(live):
+        for b in bits(live[i]):
             steps += 1
-            pred = bisect_left(coords, spans[v][0]) - 1
+            pred = bisect_left(peaks, instance.spans[view.order[b]][0]) - 1
             below = best[pred][0] if pred >= 0 else 0
-            c = weight[v] + below
+            c = view.weights[b] + below
             if cand is None or c < cand[0]:
-                cand = (c, v, pred)
+                cand = (c, b, pred)
         best.append(cand)
 
-    spilled = set()
+    spilled = 0
     k = len(peaks) - 1
     while k >= 0:
-        _, v, pred = best[k]
-        spilled.add(v)
+        _, b, pred = best[k]
+        spilled |= 1 << b
         k = pred
-    return _solution(instance, spilled, "dp-cover", steps)
+    return _solution(instance, view.decode(spilled), "dp-cover", steps)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import lcm
 from typing import Optional
 
@@ -104,7 +105,9 @@ class Instance:
     Build one with from_code (liveness derived from instructions; the
     constructor's `ranges` is None) or from_ranges (ranges given). Do not
     mutate after construction; solvers assume all derived tables (sample
-    order, per-sample live sets, chads, omega, h) are frozen.
+    order, live and chad masks, spans, omega, h) are frozen. Bit i of a
+    mask stands for var_ids[i], the sorted ids; spans[v] is the first and
+    last sample at which v is live (absent if v is never live).
     """
 
     def __init__(self, shape, points, weights, ranges=None, instructions=(),
@@ -124,24 +127,31 @@ class Instance:
         # Two samples per point, use moment first: (p, USE) is sample
         # 2 * point_pos[p] and (p, DEF) the one after it.
         self.samples = tuple((p, m) for p in order for m in (USE, DEF))
-        self.sample_pos = {s: i for i, s in enumerate(self.samples)}
 
-        live = [set() for _ in self.samples]
-        chad = [set() for _ in self.samples]
+        # a bit flips on at each run's first sample and off after its last
+        flips = [0] * (len(self.samples) + 1)
+        chad = [0] * len(self.samples)
         kind = "interval" if shape == LINEAR else "subtree"
-        self.variables = {}  # id -> Variable
-        for vid, chads, rng, span in self._derive(weights, ranges):
-            for i in span:
-                live[i].add(vid)
+        self.variables = {}  # id -> Variable, in sorted id order
+        self.spans = {}
+        for i, (vid, chads, rng, runs) in enumerate(self._derive(weights,
+                                                                 ranges)):
+            bit = 1 << i
+            for a, b in runs:
+                flips[a] ^= bit
+                flips[b + 1] ^= bit
+            if runs:
+                self.spans[vid] = (min(runs)[0], max(runs)[1])
             for p, m in chads:
                 if p in self.point_pos:
-                    chad[2 * self.point_pos[p] + (m == DEF)].add(vid)
+                    chad[2 * self.point_pos[p] + (m == DEF)] |= bit
             self.variables[vid] = Variable(vid, Fraction(weights[vid]),
                                            LiveRange(kind, frozenset(rng)),
                                            frozenset(chads))
-        self.live_at = tuple(frozenset(s) for s in live)
-        self.chads_at = tuple(frozenset(s) for s in chad)
-        self.omega = max(map(len, self.live_at), default=0)
+        self.var_ids = tuple(self.variables)
+        self.live_masks = tuple(accumulate(flips[:-1], int.__xor__))
+        self.chad_masks = tuple(chad)
+        self.omega = max((m.bit_count() for m in self.live_masks), default=0)
         self.h = max((max(len(i.uses), len(i.defs))
                       for i in self.instructions or ()), default=0)
 
@@ -166,13 +176,14 @@ class Instance:
         return cls(shape, points, weights, ranges=ranges)
 
     def _derive(self, weights, ranges):
-        """(id, chads, range points, live sample indices) per variable."""
+        """(id, chads, range points, live sample runs) per variable; a run
+        is a (first, last) pair of sample indices, and runs are disjoint."""
         pos = self.point_pos
         if not self.code_backed:
             for vid in sorted(ranges):
                 rng = frozenset(ranges[vid])
-                yield vid, (), rng, [2 * pos[p] + m for p in rng if p in pos
-                                     for m in (0, 1)]
+                yield vid, (), rng, [(2 * pos[p], 2 * pos[p] + 1)
+                                     for p in rng if p in pos]
             return
         def_at = {}
         uses_at = {}  # var -> use points, in instruction order
@@ -188,7 +199,7 @@ class Instance:
             yield (vid, chads) + self._liveness(vid, d, uses)
 
     def _liveness(self, vid, d, uses):
-        """(range points, live sample indices) of one code-backed variable
+        """(range points, live sample runs) of one code-backed variable
         defined at d (or None) and used at `uses`.
 
         A linear range is one run of samples, from the definition (or the
@@ -213,7 +224,7 @@ class Instance:
                   else max(ups) if ups else s0)
             if s1 < s0:
                 s0, s1 = s1, s0  # malformed code, tolerated for validate()
-            return self.point_order[s0 // 2:s1 // 2 + 1], range(s0, s1 + 1)
+            return self.point_order[s0 // 2:s1 // 2 + 1], [(s0, s1)]
 
         if d is not None:
             top = d
@@ -240,16 +251,17 @@ class Instance:
                 reached |= path
         rng |= reached
         has_kid = {self.parent_of.get(q) for q in rng}
-        span = []
+        runs = []
         for p in rng:
             if p in pos:
-                if p != d:
-                    span.append(2 * pos[p])
-                # live after p's instruction if the range goes on into a
-                # child, or if the variable is defined at p and never used
-                if p in has_kid or (p == d and len(rng) == 1):
-                    span.append(2 * pos[p] + 1)
-        return rng, span
+                # live before p's instruction unless defined there; live
+                # after it if the range goes on into a child, or if the
+                # variable is defined at p and never used
+                first = 2 * pos[p] + (p == d)
+                last = 2 * pos[p] + (p in has_kid or (p == d and len(rng) == 1))
+                if first <= last:
+                    runs.append((first, last))
+        return rng, runs
 
     # -- convenience --------------------------------------------------
 
@@ -262,7 +274,21 @@ class Instance:
         return len(self.points)
 
     def var_order(self):
-        return sorted(self.variables)
+        return list(self.var_ids)
+
+    def decode(self, mask):
+        """The variable ids in `mask`."""
+        return frozenset(map(self.var_ids.__getitem__, bits(mask)))
+
+    @property
+    def live_at(self):
+        """Per-sample frozensets of live ids, decoded on every access."""
+        return tuple(map(self.decode, self.live_masks))
+
+    @property
+    def chads_at(self):
+        """Per-sample frozensets of chad ids, decoded on every access."""
+        return tuple(map(self.decode, self.chad_masks))
 
     def weight(self, vid):
         return self.variables[vid].weight
@@ -301,38 +327,31 @@ class MaskView:
     """The bit-mask view of an instance that the solvers read, built per
     call and not kept on the instance.
 
-    Bit i stands for variable order[i] (sorted ids unless the caller
-    passes an order), bit[v] is v's one-bit mask, and weights[i] is
-    order[i]'s weight times `scale`, the lcm of the denominators. live()
-    and chad() list each sample's mask of live variables and of chads.
-    They are built on request, as the interval solvers read only the
-    weights (the masks of a 3,000-point block cost a quarter of its flow
-    solve).
+    Bit i stands for variable order[i] (the instance's sorted ids unless
+    the caller passes an order), and weights[i] is order[i]'s weight
+    times `scale`, the lcm of the denominators. live() and chad() list
+    each sample's mask of live variables and of chads: the instance's
+    own masks, remapped when the caller's order differs.
     """
 
     def __init__(self, instance, order=None):
-        self.instance = instance
         self.order = instance.var_order() if order is None else list(order)
         self.bit = {v: 1 << i for i, v in enumerate(self.order)}
         ws = [instance.variables[v].weight for v in self.order]
         self.scale = lcm(*(w.denominator for w in ws))
         self.weights = [w.numerator * (self.scale // w.denominator) for w in ws]
+        live, chad = instance.live_masks, instance.chad_masks
+        if order is not None and tuple(self.order) != instance.var_ids:
+            moved = [self.bit[v] for v in instance.var_ids]
+            live, chad = ([sum(map(moved.__getitem__, bits(m))) for m in ms]
+                          for ms in (live, chad))
+        self._live, self._chad = list(live), list(chad)
 
     def live(self):
-        return self._masks(self.instance.live_at)
+        return self._live
 
     def chad(self):
-        return self._masks(self.instance.chads_at)
-
-    def _masks(self, sets):
-        bit = self.bit
-        masks = []
-        for s in sets:
-            m = 0
-            for v in s:
-                m |= bit[v]
-            masks.append(m)
-        return masks
+        return self._chad
 
     def weight(self, mask):
         """Scaled weight of the variables in `mask`."""
@@ -537,24 +556,21 @@ def pressure(instance, spilled, mode):
         raise ValueError(f"unknown spilled variables: {sorted(unknown)}")
     if mode == HOLES and not instance.code_backed:
         raise UnsupportedModeError("hole semantics need a code-backed instance")
-    values = []
-    for live, chads in zip(instance.live_at, instance.chads_at):
-        p = len(live - spilled)
-        if mode == HOLES:
-            p += len(chads & spilled)
-        values.append(p)
-    return PressureProfile(instance.samples, tuple(values), mode)
+    s = sum(1 << i for i, v in enumerate(instance.var_ids) if v in spilled)
+    chads = instance.chad_masks if mode == HOLES else repeat(0)
+    values = tuple((lm & ~s).bit_count() + (cm & s).bit_count()
+                   for lm, cm in zip(instance.live_masks, chads))
+    return PressureProfile(instance.samples, values, mode)
 
 
 def interference_graph(instance):
     """Adjacency sets: edge iff two live ranges share a sample point."""
-    adj = {v: set() for v in instance.variables}
-    for live in instance.live_at:
-        for a in live:
-            adj[a].update(live)
-    for v, nb in adj.items():
-        nb.discard(v)
-    return adj
+    near = [0] * instance.n_vars  # per bit: the bits live alongside it
+    for m in set(instance.live_masks):
+        for b in bits(m):
+            near[b] |= m
+    return {v: set(instance.decode(near[b] & ~(1 << b)))
+            for b, v in enumerate(instance.var_ids)}
 
 
 def perfect_elimination_order(adj):

@@ -358,15 +358,18 @@ class CheckResult:
     solver: str
 
 
-def solve_certificate(cert: ReductionCertificate, work_budget=300_000_000):
+WORK_BUDGET = 300_000_000  # largest 2^n times distinct rows swept by brute force
+
+
+def solve_certificate(cert: ReductionCertificate):
     """Exact optimum of a generated instance, picking the cheapest exact
-    solver the instance admits: brute force within the work budget, the
+    solver the instance admits: brute force within WORK_BUDGET, the
     punched-interval DP for linear with-holes instances, else branch and
     bound run to proven optimality."""
     inst = cert.instance
     n = inst.n_vars
-    rows = len({(l, c) for l, c in zip(inst.live_at, inst.chads_at)})
-    if n <= oracle.DEFAULT_CAP and (1 << n) * rows <= work_budget:
+    rows = len(set(zip(inst.live_masks, inst.chad_masks)))
+    if n <= oracle.DEFAULT_CAP and (1 << n) * rows <= WORK_BUDGET:
         return oracle.brute_force(inst, cert.r, cert.mode), "brute"
     if (inst.shape == LINEAR and cert.mode == HOLES
             and inst.code_backed and cert.r < inst.omega):
@@ -381,12 +384,12 @@ def solve_certificate(cert: ReductionCertificate, work_budget=300_000_000):
     return sol, "bnb"
 
 
-def check_reduction(source, kind, work_budget=300_000_000) -> CheckResult:
+def check_reduction(source, kind) -> CheckResult:
     """Decide the source problem exhaustively, solve the generated spill
     instance exactly, and assert the reduction's iff."""
     cert = _GENERATORS[kind](source)
     source_yes = _DECIDERS[kind](source)
-    sol, solver = solve_certificate(cert, work_budget)
+    sol, solver = solve_certificate(cert)
     spill_yes = sol.feasible and sol.cost <= cert.K
     return CheckResult(
         kind=kind,

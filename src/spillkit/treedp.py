@@ -16,10 +16,8 @@ from math import comb
 
 from .errors import BudgetExceededError, InfeasibleError, UnsupportedModeError
 from .model import (
-    DEF,
     HOLES,
     NOHOLES,
-    USE,
     MaskView,
     SpillSolution,
     bits,
@@ -30,13 +28,15 @@ DEFAULT_STATE_BUDGET = 10_000_000
 
 
 def _sample_children(instance):
-    """Child lists over sample indices: (p,use)->(p,def)->(c,use)..."""
-    pos = instance.sample_pos
+    """Child lists over sample indices: (p,use)->(p,def)->(c,use)...;
+    (p, USE) is sample 2 * point_pos[p] and (p, DEF) the one after it."""
+    pos = instance.point_pos
     children = [[] for _ in instance.samples]
     for p in instance.point_order:
-        children[pos[(p, USE)]].append(pos[(p, DEF)])
+        u = 2 * pos[p]
+        children[u].append(u + 1)
         for c in instance.children.get(p, ()):
-            children[pos[(p, DEF)]].append(pos[(c, USE)])
+            children[u + 1].append(2 * pos[c])
     return children
 
 
@@ -54,10 +54,10 @@ def _solve_fitting(instance, k, holes, state_budget):
                              algo, 0, mode=mode)
 
     if holes:
-        for (pt, mom), chads in zip(instance.samples, instance.chads_at):
-            if len(chads) > k:
+        for (pt, mom), chads in zip(instance.samples, instance.chad_masks):
+            if chads.bit_count() > k:
                 raise InfeasibleError(
-                    f"even the full spill leaves pressure {len(chads)} > {k} "
+                    f"even the full spill leaves pressure {chads.bit_count()} > {k} "
                     f"at point {pt} ({mom} moment)", witness=(pt, mom))
 
     view = MaskView(instance)

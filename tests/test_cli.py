@@ -1,10 +1,11 @@
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from spillkit.cli import run
+from spillkit.cli import ALGOS, run
 from spillkit.fileformat import parse, serialize
 from spillkit.reductions import GraphInstance, gen_indepset_h1
 
@@ -73,7 +74,7 @@ class TestSolve:
                            "--json", jpath, belady_file)
         assert code == 0
         fields = report_fields(out)
-        rep = json.load(open(jpath))
+        rep = json.loads(Path(jpath).read_text())
         assert ",".join(rep["solution"]["spilled"]) == fields["solution.spilled"]
         assert rep["solution"]["cost"] == fields["solution.cost"]
         assert str(rep["solution"]["omega_prime"]) == fields["solution.omega_prime"]
@@ -126,6 +127,28 @@ var y weight 1
                            "--algo", "dp-extra", belady_file)
         assert code == 0
         assert report_fields(out)["solution.spilled"] == "-"
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("target", ["r=-1", "few=-1", "omega-5"])
+def test_negative_target_is_a_usage_error(algo, target, tmp_path):
+    # omega is 3, so omega-5 resolves to r = -2
+    f = tmp_path / "code.spill"
+    f.write_text("""format spill-v1
+kind linear
+point 1
+point 2
+livein a,b,c
+instr 2 uses a,b,c defs -
+var a weight 1
+var b weight 1
+var c weight 2
+""")
+    mode = "holes" if algo in ("dp-fit-holes", "dp-extra") else "noholes"
+    code, out, err = cli("solve", "--target", target, "--mode", mode,
+                         "--algo", algo, str(f))
+    assert code == 1 and out == ""
+    assert err.startswith("error: target resolves to r = -")
 
 
 class TestAutoDispatch:
@@ -182,7 +205,7 @@ var b weight 2
                        "member b1\nmember b1,b2\nbound 1\n")
         inst_path = str(tmp_path / "cov.spill")
         cli("gen", "--reduction", "mincover", "--out", inst_path, str(src))
-        assert parse(open(inst_path).read()).h == 3
+        assert parse(Path(inst_path).read_text()).h == 3
         _, out, _ = cli("solve", "--target", "omega-1", "--mode", "holes",
                         inst_path)
         assert report_fields(out)["solver.algo"] == "bnb"
@@ -260,6 +283,21 @@ var a weight 1
                            "--mode", "noholes", belady_file)
         assert code == 2 and "over-pressure" in out
 
+    def test_solution_without_target(self, belady_file, tmp_path):
+        jpath = str(tmp_path / "rep.json")
+        cli("solve", "--target", "r=1", "--mode", "noholes", "--json", jpath,
+            belady_file)
+        code, _, err = cli("check", "--solution", jpath, belady_file)
+        assert code == 1 and err == "error: --solution needs --target\n"
+
+    def test_report_without_solution(self, belady_file, tmp_path):
+        rep = tmp_path / "rep.json"
+        rep.write_text('{"solver": {"algo": "greedy"}}')
+        code, _, err = cli("check", "--solution", str(rep), "--target", "r=1",
+                           "--mode", "noholes", belady_file)
+        assert code == 1
+        assert err == f"error: {rep} has no solution.spilled list\n"
+
 
 class TestGen:
     def test_emits_instance_and_certificate(self, tmp_path):
@@ -270,8 +308,8 @@ class TestGen:
         code, out, _ = cli("gen", "--reduction", "indepset1", "--out",
                            out_path, str(src))
         assert code == 0
-        inst = parse(open(out_path).read())
-        cert = json.load(open(out_path + ".cert.json"))
+        inst = parse(Path(out_path).read_text())
+        cert = json.loads(Path(out_path + ".cert.json").read_text())
         expected = gen_indepset_h1(
             GraphInstance(("u", "v", "w"), (("u", "v"), ("v", "w")), 2))
         assert inst == expected.instance

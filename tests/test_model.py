@@ -24,7 +24,8 @@ from spillkit.model import (
     validate,
 )
 
-from builders import random_linear_code, random_tree_code, seeded, within
+from builders import (random_linear_code, random_tree_code,
+                      random_tree_ranges, seeded, within)
 
 
 def linear_code(m, instrs, weights, livein=(), liveout=()):
@@ -299,3 +300,45 @@ def test_mask_view():
     assert view.weight(3) == 7 and view.decode(3) == {"a", "b"}
     assert MaskView(inst, ["b", "a"]).live() == [0, 1, 1, 2, 2, 0]
     assert run_starts(view.live()) == [0, 1, 3, 5]
+
+    # A tree with holes: preorder 1, 2, 4, 3, and a is live at (1, def),
+    # (2, use) and (3, use) but not in the subtree of 2 below its use.
+    inst = tree_code([None, 1, 1, 2],
+                     [ins(1, defs="ab"), ins(2, "a", "c"), ins(4, "bc"),
+                      ins(3, "a")],
+                     {"a": 1, "b": 2, "c": Fraction(1, 2)})
+    assert ["".join(sorted(s)) for s in inst.live_at] == [
+        "", "ab", "ab", "bc", "bc", "", "a", ""]
+    assert ["".join(sorted(s)) for s in inst.chads_at] == [
+        "", "ab", "a", "c", "bc", "", "a", ""]
+    assert inst.spans == {"a": (1, 6), "b": (1, 4), "c": (3, 4)}
+    cases = [(None, [2, 4, 1], [0, 3, 3, 6, 6, 0, 1, 0],
+              [0, 3, 1, 4, 6, 0, 1, 0]),
+             # the remapped order branch_and_bound passes
+             (["c", "a", "b"], [1, 2, 4], [0, 6, 6, 5, 5, 0, 2, 0],
+              [0, 6, 2, 1, 5, 0, 2, 0])]
+    for order, weights, live, chads in cases:
+        view = MaskView(inst, order)
+        assert view.scale == 2 and view.weights == weights
+        assert view.live() == live and view.chad() == chads
+        assert tuple(map(view.decode, live)) == inst.live_at
+        assert tuple(map(view.decode, chads)) == inst.chads_at
+    assert list(inst.live_masks) == cases[0][2]
+    assert list(inst.chad_masks) == cases[0][3]
+
+    # The same on seeded codes and ranges, in a shuffled order.
+    rng = seeded(305)
+    for build in (random_tree_code, random_linear_code, random_tree_ranges):
+        for _ in range(20):
+            inst = (build(rng, h=2) if build is random_linear_code
+                    else build(rng))
+            order = inst.var_order()
+            rng.shuffle(order)
+            view = MaskView(inst, order)
+            assert tuple(map(view.decode, view.live())) == inst.live_at
+            assert tuple(map(view.decode, view.chad())) == inst.chads_at
+            assert [m.bit_count() for m in view.live()] == \
+                [len(s) for s in inst.live_at]
+            for v in inst.variables:
+                at = [i for i, s in enumerate(inst.live_at) if v in s]
+                assert inst.spans.get(v) == ((at[0], at[-1]) if at else None)
