@@ -124,7 +124,8 @@ class _MinCostFlow:
 
 
 def _flow_solve(instance, r):
-    """Returns (kept set, flow per variable arc, dijkstra pops)."""
+    """Returns (kept set, flow per variable arc, dijkstra pops); a
+    variable that is never live has no arc and is always kept."""
     view = MaskView(instance)
     spans = instance.spans
     n_samples = len(instance.samples)
@@ -140,6 +141,8 @@ def _flow_solve(instance, r):
         f.add_edge(i, i + 1, r, 0)
     var_edge = {}
     for v, w in zip(view.order, view.weights):
+        if v not in spans:
+            continue  # never live: kept, and given no arc
         s, e = spans[v]
         a, b = node[s], node[e + 1]
         var_edge[v] = (a, len(f.graph[a]))
@@ -155,7 +158,7 @@ def _flow_solve(instance, r):
     f.min_cost_flow(0, len(coords) - 1, r, pot)
 
     flows = {}
-    kept = set()
+    kept = set(instance.variables) - spans.keys()
     for v, (a, ei) in var_edge.items():
         used = 1 - f.graph[a][ei][1]  # cap 1 minus residual
         flows[v] = used

@@ -327,25 +327,19 @@ class MaskView:
     """The bit-mask view of an instance that the solvers read, built per
     call and not kept on the instance.
 
-    Bit i stands for variable order[i] (the instance's sorted ids unless
-    the caller passes an order), and weights[i] is order[i]'s weight
-    times `scale`, the lcm of the denominators. live() and chad() list
-    each sample's mask of live variables and of chads: the instance's
-    own masks, remapped when the caller's order differs.
+    Bit i stands for variable order[i], the instance's i-th sorted id,
+    and weights[i] is order[i]'s weight times `scale`, the lcm of the
+    denominators. live() and chad() list each sample's mask of live
+    variables and of chads, as the instance stores them.
     """
 
-    def __init__(self, instance, order=None):
-        self.order = instance.var_order() if order is None else list(order)
-        self.bit = {v: 1 << i for i, v in enumerate(self.order)}
+    def __init__(self, instance):
+        self.order = instance.var_order()
         ws = [instance.variables[v].weight for v in self.order]
         self.scale = lcm(*(w.denominator for w in ws))
         self.weights = [w.numerator * (self.scale // w.denominator) for w in ws]
-        live, chad = instance.live_masks, instance.chad_masks
-        if order is not None and tuple(self.order) != instance.var_ids:
-            moved = [self.bit[v] for v in instance.var_ids]
-            live, chad = ([sum(map(moved.__getitem__, bits(m))) for m in ms]
-                          for ms in (live, chad))
-        self._live, self._chad = list(live), list(chad)
+        self._live = list(instance.live_masks)
+        self._chad = list(instance.chad_masks)
 
     def live(self):
         return self._live
@@ -461,9 +455,11 @@ def validate(instance):
                 bad("chad", v.id, f"chad at point {p} lies outside the range")
         if v.range.points and v.range.points <= known_pts:
             if instance.shape == LINEAR:
-                idxs = sorted(instance.point_pos[p] for p in v.range.points)
-                if idxs != list(range(idxs[0], idxs[-1] + 1)):
-                    bad("range", v.id, "interval range is not contiguous")
+                # a derived range is a slice of point_order: contiguous
+                if not instance.code_backed:
+                    idxs = sorted(instance.point_pos[p] for p in v.range.points)
+                    if idxs != list(range(idxs[0], idxs[-1] + 1)):
+                        bad("range", v.id, "interval range is not contiguous")
             else:
                 if not _connected_subtree(v.range.points, instance.parent_of):
                     bad("range", v.id, "subtree range is not connected")

@@ -1,4 +1,4 @@
-"""Ground-truth solvers: exhaustive sweep and pruned branch-and-bound.
+"""Ground-truth solvers: exhaustive search and pruned branch-and-bound.
 
 Both accept every instance shape and both pressure modes; they are the
 reference the polynomial solvers are tested against. Infeasibility (a
@@ -8,8 +8,8 @@ first-class result, not an error.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
+from math import lcm
 
 from . import kernel
 from .errors import SizeCapError
@@ -20,16 +20,16 @@ DEFAULT_ALL_CAP = 100_000
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
-def encode(instance, mode, order=None):
+def encode(instance, mode):
     """The instance's mask view and its kernel rows: (view, live masks,
-    chad masks), bits in `order` (default: sorted ids).
+    chad masks), bit i standing for the i-th sorted id.
 
     Rows are the sorted, deduplicated (live mask, chad mask) pairs of the
     samples, chad masks 0 without holes; identical pressure constraints
     contribute nothing new to feasibility.
     """
     check_mode(mode)
-    view = MaskView(instance, order)
+    view = MaskView(instance)
     chad = view.chad() if mode == HOLES else repeat(0)
     rows = sorted(set(zip(view.live(), chad)))
     return view, [lm for lm, _ in rows], [cm for _, cm in rows]
@@ -57,14 +57,14 @@ def _infeasible(instance, mode, algorithm, steps, proven=True):
 
 
 def brute_force(instance, r, mode, cap=DEFAULT_CAP):
-    """Exhaustive minimum: scans all 2^n spill subsets via the kernel."""
+    """Exhaustive minimum via the kernel's cost-ordered subset search;
+    `steps` counts the spill subsets it tested."""
     n = instance.n_vars
     if n > cap:
         raise SizeCapError(n, cap)
     view, live, chad = encode(instance, mode)
     holes = mode == HOLES
-    cost, mask = kernel.sweep(n, view.weights, live, chad, r, holes)
-    steps = 1 << n
+    cost, mask, steps = kernel.sweep(n, view.weights, live, chad, r, holes)
     if cost is None:
         return _infeasible(instance, mode, "brute", steps)
     return _solution(instance, view.decode(mask), mode, "brute", steps)
@@ -77,12 +77,12 @@ def brute_force_all(instance, r, mode, cap=DEFAULT_CAP, all_cap=DEFAULT_ALL_CAP)
         raise SizeCapError(n, cap)
     view, live, chad = encode(instance, mode)
     holes = mode == HOLES
-    cost, mask = kernel.sweep(n, view.weights, live, chad, r, holes)
+    cost, mask, steps = kernel.sweep(n, view.weights, live, chad, r, holes)
     if cost is None:
-        return _infeasible(instance, mode, "brute", 1 << n), [], False
+        return _infeasible(instance, mode, "brute", steps), [], False
     masks, truncated = kernel.sweep_all(n, view.weights, live, chad, r, holes,
                                         cost, all_cap)
-    best = _solution(instance, view.decode(mask), mode, "brute", 1 << n)
+    best = _solution(instance, view.decode(mask), mode, "brute", steps)
     return best, [view.decode(m) for m in masks], truncated
 
 
@@ -100,67 +100,124 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
     error (an incumbent may simply not exist yet: feasible=False then).
     """
     check_mode(mode)
-    holes = mode == HOLES
     n = instance.n_vars
 
     # Cheap, high-relief variables first (relief = live and chad-free rows
-    # that are over-pressured before any spilling).
-    view0, live0, chad0 = encode(instance, mode)
-    base_order = view0.order
-    over0 = [j for j, lm in enumerate(live0) if lm.bit_count() > r]
+    # that are over-pressured before any spilling), by weight / relief as
+    # the exact integer weight * (lcm / relief).
+    view, live, chad = encode(instance, mode)
+    cover = [0] * n
+    for lm, cm in zip(live, chad):
+        if lm.bit_count() > r:
+            for b in bits(lm & ~cm):
+                cover[b] += 1
+    scale = lcm(*filter(None, cover))
 
     def sort_key(i):
-        b = 1 << i
-        cov = sum(1 for j in over0 if live0[j] & b and not chad0[j] & b)
-        if cov == 0:
-            return (1, Fraction(0), base_order[i])
-        return (0, Fraction(view0.weights[i], cov), base_order[i])
+        if cover[i] == 0:
+            return (1, 0, view.order[i])
+        return (0, view.weights[i] * (scale // cover[i]), view.order[i])
 
-    order = [base_order[i] for i in sorted(range(n), key=sort_key)]
-    view, live, chad = encode(instance, mode, order)
-    weights = view.weights
-    rows = list(range(len(live)))
+    # bit i of the search stands for variable order[i]; renumbered rows
+    # stay distinct and are sorted again, as encode sorts them, by the
+    # key live << n | chad
+    perm = sorted(range(n), key=sort_key)
+    order = [view.order[i] for i in perm]
+    weights = [view.weights[i] for i in perm]
+    to_new = [0] * n
+    for new, old in enumerate(perm):
+        to_new[old] = new
+    keys = []
+    cols = []  # per row, the new indices of its live or chad bits
+    for lm, cm in zip(live, chad):
+        key = 0
+        col = []
+        for b in bits(lm | cm):
+            i = to_new[b]
+            key |= (lm >> b & 1) << (i + n) | (cm >> b & 1) << i
+            col.append(i)
+        keys.append(key)
+        cols.append(col)
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)
     full = (1 << n) - 1
+    live = [keys[k] >> n for k in by_key]
+    chad = [keys[k] & full for k in by_key]
+
+    # Per row j, kept up to date along the search path: over[j] is its
+    # pressure less r given the spills decided so far, floor[j] its least
+    # reachable pressure given the keeps (undecided chads counted), and
+    # free[j] how many undecided variables can still relieve it (live,
+    # chad-free). An over row is dead when floor > r or free < over;
+    # n_over and n_dead count them.
+    relief = [lm & ~cm for lm, cm in zip(live, chad)]
+    over = [lm.bit_count() - r for lm in live]
+    floor = [cm.bit_count() for cm in chad]
+    free = [u.bit_count() for u in relief]
+    n_over = sum(o > 0 for o in over)
+    n_dead = sum(o > 0 and (f > r or u < o)
+                 for o, f, u in zip(over, floor, free))
+    # Per variable, the rows where it relieves (live, no chad) and where
+    # it only adds a chad; a live chad changes neither pressure nor floor.
+    # cheapest[j]: row j's relieving variables, lightest first.
+    relieves = [[] for _ in range(n)]
+    burdens = [[] for _ in range(n)]
+    cheapest = []
+    for j, k in enumerate(by_key):
+        for i in cols[k]:
+            if relief[j] >> i & 1:
+                relieves[i].append(j)
+            elif not live[j] >> i & 1:
+                burdens[i].append(j)
+        cheapest.append(sorted(bits(relief[j]), key=weights.__getitem__))
+
+    def move(rows, dover, dfloor, dfree):
+        nonlocal n_over, n_dead
+        for j in rows:
+            o, f, u = over[j], floor[j], free[j]
+            if o > 0:
+                n_over -= 1
+                n_dead -= f > r or u < o
+            o += dover
+            f += dfloor
+            u += dfree
+            over[j], floor[j], free[j] = o, f, u
+            if o > 0:
+                n_over += 1
+                n_dead += f > r or u < o
+
+    def lower_bound(idx):
+        """Sum over pairwise-disjoint over rows (taken greedily in row
+        order) of the cheapest undecided relief each still needs."""
+        undec = full >> idx << idx
+        lb = 0
+        used = 0
+        for o, u, light in zip(over, relief, cheapest):
+            if o <= 0:
+                continue
+            u &= undec
+            if u & used:
+                continue
+            used |= u
+            for b in light:
+                if b >= idx:
+                    lb += weights[b]
+                    o -= 1
+                    if not o:
+                        break
+        return lb
 
     best_cost = None
     best_mask = 0
     steps = 0
     budget_hit = False
-
-    def bound_and_over(spilled, kept):
-        """(infeasible, lower bound, any over row) for the current node."""
-        undec = full & ~spilled & ~kept
-        lb = 0
-        used = 0
-        any_over = False
-        for j in rows:
-            lm = live[j]
-            cur = (lm & ~spilled).bit_count()
-            if holes:
-                cur += (chad[j] & spilled).bit_count()
-            over = cur - r
-            if over <= 0:
-                continue
-            any_over = True
-            floor = (lm & kept).bit_count()
-            if holes:
-                floor += (chad[j] & ~kept).bit_count()
-            if floor > r:
-                return True, 0, True
-            u = undec & lm
-            if holes:
-                u &= ~chad[j]
-            if u.bit_count() < over:
-                return True, 0, True
-            if u & used == 0:
-                ws = sorted(weights[b] for b in bits(u))
-                lb += sum(ws[:over])
-                used |= u
-        return False, lb, any_over
+    depth = 0  # variables decided in the per-row state
 
     # Depth-first over (next variable, spilled mask, cost); the keep child
     # is pushed first so the spill child is searched first. An explicit
     # stack keeps the depth (one level per variable) off the call stack.
+    # A spill child is popped right after its parent. A keep child comes
+    # after its spill sibling's subtree, whose last node decided every
+    # variable below the sibling as a keep: undo those, then switch.
     stack = [(0, 0, 0)]
     while stack:
         idx, spilled, cost = stack.pop()
@@ -168,13 +225,28 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
         if steps > node_budget:
             budget_hit = True
             break
-        kept = ~spilled & ((1 << idx) - 1)
-        dead, lb, any_over = bound_and_over(spilled, kept)
-        if dead:
+        if idx:
+            while depth > idx:  # take back a keep
+                depth -= 1
+                move(relieves[depth], 0, -1, 1)
+                if burdens[depth]:
+                    move(burdens[depth], 0, 1, 0)
+            i = idx - 1
+            if depth == idx:  # switch a spill to a keep
+                move(relieves[i], 1, 1, 0)
+                if burdens[i]:
+                    move(burdens[i], -1, -1, 0)
+            else:  # spill
+                move(relieves[i], -1, 0, -1)
+                if burdens[i]:
+                    move(burdens[i], 1, 0, 0)
+                depth = idx
+        if n_dead:
             continue
-        if best_cost is not None and cost + lb >= best_cost:
+        if (best_cost is not None
+                and cost + (n_over and lower_bound(idx)) >= best_cost):
             continue
-        if not any_over:
+        if not n_over:
             # keeping every undecided variable completes this node optimally
             best_cost = cost
             best_mask = spilled
@@ -186,5 +258,5 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
 
     if best_cost is None:
         return _infeasible(instance, mode, "bnb", steps, proven=not budget_hit)
-    spilled = view.decode(best_mask)
+    spilled = frozenset(map(order.__getitem__, bits(best_mask)))
     return _solution(instance, spilled, mode, "bnb", steps, proven=not budget_hit)

@@ -349,16 +349,29 @@ _GENERATORS = {X3C: gen_x3c, MINCOVER: gen_mincover,
 
 @dataclass(frozen=True)
 class CheckResult:
+    """The verdicts of one reduction check. It keeps the source, not the
+    generated instance, so that a sweep can keep many results."""
+
     kind: str
     source_answer: bool
     spill_answer: bool
     equivalent: bool
     optimum: Fraction  # None when the instance is infeasible at r
-    certificate: ReductionCertificate
+    source: object
     solver: str
 
+    @property
+    def certificate(self) -> ReductionCertificate:
+        """The certificate checked, generated again from the source
+        (generation is deterministic)."""
+        return _GENERATORS[self.kind](self.source)
 
-WORK_BUDGET = 300_000_000  # largest 2^n times distinct rows swept by brute force
+
+# Brute force runs when n <= oracle.DEFAULT_CAP and 2^n times the distinct
+# rows is at most this. The kernel's search stops at the optimum, so this
+# bounds what a search that finds nothing cheap could cost, not what a
+# search does cost; it also fixes the solver each check reports.
+WORK_BUDGET = 300_000_000
 
 
 def solve_certificate(cert: ReductionCertificate):
@@ -387,16 +400,20 @@ def solve_certificate(cert: ReductionCertificate):
 def check_reduction(source, kind) -> CheckResult:
     """Decide the source problem exhaustively, solve the generated spill
     instance exactly, and assert the reduction's iff."""
-    cert = _GENERATORS[kind](source)
-    source_yes = _DECIDERS[kind](source)
+    return check_certificate(_GENERATORS[kind](source))
+
+
+def check_certificate(cert: ReductionCertificate) -> CheckResult:
+    """check_reduction for a certificate already generated."""
+    source_yes = _DECIDERS[cert.kind](cert.source)
     sol, solver = solve_certificate(cert)
     spill_yes = sol.feasible and sol.cost <= cert.K
     return CheckResult(
-        kind=kind,
+        kind=cert.kind,
         source_answer=source_yes,
         spill_answer=spill_yes,
         equivalent=source_yes == spill_yes,
         optimum=sol.cost if sol.feasible else None,
-        certificate=cert,
+        source=cert.source,
         solver=solver,
     )

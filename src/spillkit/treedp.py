@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import BudgetExceededError, InfeasibleError, UnsupportedModeError
+from .errors import (BudgetExceededError, InfeasibleError, MalformedCodeError,
+                     UnsupportedModeError)
 from .model import (
     HOLES,
     NOHOLES,
@@ -76,6 +77,12 @@ def _solve_fitting(instance, k, holes, state_budget):
         # weight less the shared part, which the parent state counts)
         groups = []
         for c in children[i]:
+            if tables[c] is None:
+                # a child sample must come after its parent; a cycle of
+                # parents or a repeated point id breaks that order
+                raise MalformedCodeError(
+                    f"sample {instance.samples[c]} is not below "
+                    f"{instance.samples[i]}: the points do not form a tree")
             g = {}
             for fc, (cost_c, _) in tables[c].items():
                 key = fc & live[i]

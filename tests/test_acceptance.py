@@ -33,12 +33,12 @@ from spillkit.model import (
 from spillkit.oracle import branch_and_bound, brute_force, brute_force_all
 from spillkit.punched import extra_set_dp
 from spillkit.reductions import (
-    INDEPSET1,
-    INDEPSET2,
-    MINCOVER,
     ROLE_F,
-    X3C,
-    check_reduction,
+    check_certificate,
+    gen_indepset_h1,
+    gen_indepset_h2,
+    gen_mincover,
+    gen_x3c,
 )
 from spillkit.sweeps import cover_sources, graph_instance, graphs_upto, x3c_sources
 from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
@@ -107,36 +107,40 @@ def _c7_optima():
                  for h, inst in codes for k in (1, 2))
 
 
-def _checked(source, kind, pool):
-    """check_reduction, its certificate holding the first Instance equal
-    to the one generated: a sweep keeps one Instance per distinct
-    declarative_key(), not one per bound of a source."""
-    res = check_reduction(source, kind)
-    inst = pool.setdefault(res.certificate.instance, res.certificate.instance)
-    return replace(res, certificate=replace(res.certificate, instance=inst))
+def _checked(cert, pool):
+    """(check result, certificate), the certificate holding the first
+    Instance equal to the one generated: a sweep keeps one Instance per
+    distinct declarative_key(), not one per bound of a source. The
+    certificate is kept beside the result, which holds only verdicts."""
+    cert = replace(cert, instance=pool.setdefault(cert.instance, cert.instance))
+    return check_certificate(cert), cert
 
 
 @lru_cache(maxsize=None)
 def _c8_x3c():
+    """(source, result, certificate) per X3C source."""
     pool = {}
-    return tuple((x, _checked(x, X3C, pool)) for x in x3c_sources(9, 5))
+    return tuple((x,) + _checked(gen_x3c(x), pool) for x in x3c_sources(9, 5))
 
 
 @lru_cache(maxsize=None)
 def _c8_cover():
+    """(source, result, certificate) per minimum cover source."""
     pool = {}
-    return tuple((c, _checked(c, MINCOVER, pool)) for c in cover_sources(6, 5))
+    return tuple((c,) + _checked(gen_mincover(c), pool)
+                 for c in cover_sources(6, 5))
 
 
 @lru_cache(maxsize=None)
 def _c8_graphs():
+    """(graph, (result, certificate) for h = 2, the same for h = 1)."""
     pool = {}
     out = []
     for n, edges in graphs_upto(6):
         for bound in range(1, n + 1):
             g = graph_instance(n, edges, bound)
-            out.append((g, _checked(g, INDEPSET2, pool),
-                        _checked(g, INDEPSET1, pool)))
+            out.append((g, _checked(gen_indepset_h2(g), pool),
+                        _checked(gen_indepset_h1(g), pool)))
     return tuple(out)
 
 
@@ -232,13 +236,13 @@ def test_c07_extra_set_dp_and_cardinality_bound():
 
 def test_c08_reduction_iff_sweeps():
     checked = 0
-    for x, res in _c8_x3c():
+    for x, res, _ in _c8_x3c():
         assert res.equivalent, x
         checked += 1
-    for c, res in _c8_cover():
+    for c, res, _ in _c8_cover():
         assert res.equivalent, c
         checked += 1
-    for g, res2, res1 in _c8_graphs():
+    for g, (res2, _), (res1, _) in _c8_graphs():
         assert res2.equivalent, g
         assert res1.equivalent, g
         checked += 2
@@ -248,8 +252,7 @@ def test_c08_reduction_iff_sweeps():
 
 def test_c09_h1_gadget_parameters():
     all_optima_checked = 0
-    for g, _, res in _c8_graphs():
-        cert = res.certificate
+    for g, _, (res, cert) in _c8_graphs():
         alpha = cert.params["alpha"]
         beta = cert.params["beta"]
         E = len(g.edges)
@@ -294,11 +297,11 @@ def test_c10_model_invariants_and_roundtrips():
     fixtures = [random_linear_ranges(rng, w_max=9) for _ in range(25)]
     fixtures += [random_tree_ranges(rng) for _ in range(25)]
     fixtures += [random_linear_code(rng, 2) for _ in range(25)]
-    generated = [res.certificate.instance for _, res in _c8_x3c()]
-    generated += [res.certificate.instance for _, res in _c8_cover()]
-    for _, res2, res1 in _c8_graphs():
-        generated.append(res2.certificate.instance)
-        generated.append(res1.certificate.instance)
+    generated = [cert.instance for _, _, cert in _c8_x3c()]
+    generated += [cert.instance for _, _, cert in _c8_cover()]
+    for _, (_, cert2), (_, cert1) in _c8_graphs():
+        generated.append(cert2.instance)
+        generated.append(cert1.instance)
     seen = set()
     checked = 0
     for inst in fixtures + generated:
@@ -328,11 +331,12 @@ def _brute_registry():
               for inst, k, s in _c6_optima()]
     cases += [(inst, inst.omega - k, HOLES, s.feasible, s.cost)
               for _, inst, k, (s, _, _) in _c7_optima()]
-    c8 = [res for _, res in _c8_x3c()] + [res for _, res in _c8_cover()]
-    c8 += [res for _, res2, res1 in _c8_graphs() for res in (res2, res1)]
-    cases += [(res.certificate.instance, res.certificate.r,
-               res.certificate.mode, res.optimum is not None, res.optimum)
-              for res in c8 if res.solver == "brute"]
+    c8 = [(res, cert) for _, res, cert in _c8_x3c()]
+    c8 += [(res, cert) for _, res, cert in _c8_cover()]
+    c8 += [checked for _, *pair in _c8_graphs() for checked in pair]
+    cases += [(cert.instance, cert.r, cert.mode, res.optimum is not None,
+               res.optimum)
+              for res, cert in c8 if res.solver == "brute"]
     return {(inst.declarative_key(), r, mode): (inst, r, mode, feasible, cost)
             for inst, r, mode, feasible, cost in cases if inst.n_vars <= 20}
 

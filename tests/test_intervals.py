@@ -104,6 +104,15 @@ class TestWeightedOptimal:
             _, flows, _ = _flow_solve(inst, r)
             assert all(f in (0, 1) for f in flows.values())
 
+    def test_never_live_variable_is_kept(self):
+        # c has an empty range: it has no flow arc and is never spilled
+        inst = Instance.from_ranges(LINEAR, [Point(1), Point(2)],
+                                    {"a": [1, 2], "b": [1, 2], "c": []},
+                                    {"a": 1, "b": 2, "c": 3})
+        sol = weighted_optimal(inst, 1)
+        assert sol.spilled == {"a"}
+        assert sol.cost == brute_force(inst, 1, NOHOLES).cost == 1
+
     def test_monotone_in_r(self):
         rng = seeded(14)
         for _ in range(30):

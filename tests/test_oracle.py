@@ -24,6 +24,13 @@ from spillkit.oracle import (
     verify,
 )
 from spillkit.punched import extra_set_dp
+from spillkit.reductions import (
+    GraphInstance,
+    X3CInstance,
+    gen_indepset_h1,
+    gen_indepset_h2,
+    gen_x3c,
+)
 from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
 from builders import (
@@ -176,6 +183,110 @@ class TestBranchAndBound:
             r = rng.randint(0, inst.omega)
             assert branch_and_bound(inst, r, NOHOLES).cost == \
                 brute_force(inst, r, NOHOLES).cost
+
+
+def _pinned_cases():
+    """Seeded (instance, r, mode, node budget) for the pinned search."""
+    rng = seeded(60)
+    for k in range(40):
+        if k % 4 == 0:
+            inst = random_linear_ranges(rng, n_max=16, m_max=16, w_max=9)
+        elif k % 4 == 1:
+            inst = random_tree_ranges(rng, n_max=16, p_max=12)
+        elif k % 4 == 2:
+            inst = random_linear_code(rng, h=rng.choice((1, 2, 3)), n_max=14,
+                                      m_max=12)
+        else:
+            inst = random_tree_code(rng, n_max=14, p_max=12)
+        mode = HOLES if k % 4 >= 2 else NOHOLES
+        least = max(m.bit_count() for m in inst.chad_masks) if mode == HOLES else 0
+        r = rng.randint(min(least, inst.omega), max(least, inst.omega - 1))
+        yield inst, r, mode, rng.choice((9, 60, 10**6))
+    rng = seeded(61)
+    elems = tuple(range(1, 10))
+    for _ in range(6):
+        triples = tuple(frozenset(rng.sample(elems, 3))
+                        for _ in range(rng.randint(3, 6)))
+        cert = gen_x3c(X3CInstance(elems, triples))
+        yield cert.instance, cert.r, cert.mode, 3000
+    for k in range(6):
+        n = rng.randint(3, 6)
+        vs = tuple(f"x{i}" for i in range(n))
+        edges = tuple(sorted({tuple(sorted(rng.sample(vs, 2)))
+                              for _ in range(rng.randint(1, 2 * n))}))
+        gen = gen_indepset_h1 if k % 2 else gen_indepset_h2
+        cert = gen(GraphInstance(vs, edges, rng.randint(1, n)))
+        yield cert.instance, cert.r, cert.mode, 3000
+
+
+# (spilled ids joined, cost, nodes, proven) per case, as a search that
+# rescans every row at every node returns them: keeping the row state
+# incrementally must not change a node, a prune or the answer
+_PINNED = [
+    ('v2,v8,v9', '5', 10, False),
+    ('v0,v1,v2,v3,v4', '55', 11, True),
+    ('', '0', 1, True),
+    ('', '0', 1, True),
+    ('v0,v1,v2', '14', 7, True),
+    ('v0', '11', 3, True),
+    ('v3,v4,v5', '23', 13, True),
+    ('', '0', 1, True),
+    ('v0,v1,v2', '13', 7, True),
+    ('v3', '1', 3, True),
+    ('v4', '4', 3, True),
+    ('', '0', 1, True),
+    ('v0', '5', 3, True),
+    ('v13,v2,v9', '11', 57, True),
+    ('v5', '4', 3, True),
+    ('v1', '2', 3, True),
+    ('v0,v1', '11', 5, True),
+    ('v2,v5,v7', '15', 29, True),
+    ('v0', '8', 7, True),
+    ('', '0', 1, True),
+    ('v1,v2,v3,v4', '11', 49, True),
+    ('v4', '2', 3, True),
+    ('v5', '13', 3, True),
+    ('v0,v3,v5', '11', 10, False),
+    ('v7', '1', 3, True),
+    ('v0,v1,v5', '23', 15, True),
+    ('v5', '5', 3, True),
+    ('v2', '20', 3, True),
+    ('v0,v11,v3', '10', 23, True),
+    ('v0,v1,v10,v11,v12,v13,v14,v2,v3,v4,v5,v6,v7,v8,v9', '177', 31, True),
+    ('v9', '3', 3, True),
+    ('', '0', 1, True),
+    ('v0,v1,v2,v3,v4,v5', '37', 10, False),
+    ('v3,v4', '5', 5, True),
+    ('v2', '1', 3, True),
+    ('v6', '6', 3, True),
+    ('v0,v1,v2,v3', '19', 9, True),
+    ('', 'None', 10, False),
+    ('v3,v6,v8', '21', 10, False),
+    ('', '0', 1, True),
+    ('fill_9_0,t0,t4,t5', '4', 1205, True),
+    ('fill_4_0,fill_8_0,fill_9_0,t0,t1,t2', '6', 251, True),
+    ('fill_9_0,t0,t1,t3,t4', '5', 773, True),
+    ('fill_6_0,fill_8_0,t0,t1,t2', '5', 207, True),
+    ('fill_3_0,t0,t2,t3', '4', 105, True),
+    ('fill_2_0,fill_3_0,fill_4_0,t1,t2', '5', 81, True),
+    ('x2,x4', '2', 11, True),
+    ('da0,da1,da2,db0,x0,x1', '18', 405, True),
+    ('x2', '1', 3, True),
+    ('da0,da1,x0', '7', 75, True),
+    ('', 'None', 1, True),
+    ('da0,da1,da2,da3,da4,da5,da6,da7,da8,x0,x1,x2', '66', 119, True),
+]
+
+
+def test_search_is_pinned():
+    """Same nodes in the same order: same solution, cost, node count and
+    proof flag as pinned, under full and exhausted node budgets."""
+    got = []
+    for inst, r, mode, budget in _pinned_cases():
+        sol = branch_and_bound(inst, r, mode, node_budget=budget)
+        got.append((",".join(sorted(sol.spilled)), str(sol.cost), sol.steps,
+                    sol.proven_optimal))
+    assert got == _PINNED
 
 
 _CODES = {

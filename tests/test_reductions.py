@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -249,3 +250,11 @@ def test_sweep_generated_instances_validate_and_are_chordal():
     for cert in certs:
         assert validate(cert.instance) == [], cert.kind
         assert is_chordal(cert.instance)[0], cert.kind
+
+
+def test_result_keeps_the_source_not_the_instance():
+    res = check_reduction(triangle(1), INDEPSET2)
+    assert res.source == triangle(1)
+    assert "certificate" not in {f.name for f in fields(res)}
+    # the certificate is generated again, equal to the one checked
+    assert res.certificate == gen_indepset_h2(triangle(1))

@@ -2,7 +2,12 @@ from itertools import combinations
 
 import pytest
 
-from spillkit.errors import BudgetExceededError, InfeasibleError, UnsupportedModeError
+from spillkit.errors import (
+    BudgetExceededError,
+    InfeasibleError,
+    MalformedCodeError,
+    UnsupportedModeError,
+)
 from spillkit.intervals import weighted_optimal
 from spillkit.model import (
     HOLES,
@@ -167,3 +172,32 @@ def test_steps_respect_omega_k_bound():
                 continue
             bound = c * (2 * inst.n_points) * (inst.omega + 1) ** k
             assert sol.steps <= bound
+
+
+def _cyclic_tree(parents):
+    pts = [Point(p, q) for p, q in enumerate(parents, start=1)]
+    instrs = [Instruction(1, frozenset(), frozenset("a")),
+              Instruction(2, frozenset("a"), frozenset())]
+    return Instance.from_code(TREE, pts, instrs, {"a": 1})
+
+
+# points whose samples do not come in tree order: construction tolerates
+# them (validate() reports them), the DP refuses them
+_NOT_TREES = {
+    "self-parent": (lambda: _cyclic_tree([None, 2]), (0,)),
+    "two-cycle": (lambda: _cyclic_tree([None, 3, 2]), (0,)),
+    "duplicate point id": (
+        lambda: Instance.from_ranges(LINEAR, [Point(1), Point(1), Point(2)],
+                                     {"a": [1, 2], "b": [1]},
+                                     {"a": 1, "b": 1}),
+        (0, 1)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_NOT_TREES))
+def test_points_out_of_tree_order_are_malformed(form):
+    build, ks = _NOT_TREES[form]
+    inst = build()
+    for k in ks:
+        with pytest.raises(MalformedCodeError):
+            fitting_set_dp(inst, k)
