@@ -20,8 +20,8 @@ class MalformedCodeError(SpillkitError):
 class SizeCapError(SpillkitError):
     """Exhaustive enumeration refused: instance exceeds the configured cap."""
 
-    def __init__(self, n, cap):
-        super().__init__(f"instance has {n} variables, exhaustive cap is {cap}")
+    def __init__(self, n, cap, what="variables"):
+        super().__init__(f"instance has {n} {what}, exhaustive cap is {cap}")
         self.n = n
         self.cap = cap
 

@@ -2,11 +2,28 @@
 
 The acceptance sweeps quantify over ALL sources up to a size bound;
 enumerating one representative per isomorphism class keeps that
-exhaustive claim tractable. Graphs and set families are canonicalized
-by a vectorized minimum over all label permutations; families of
-3-element subsets (too many permutations for that) are built by
-augmentation with Weisfeiler-Lehman bucketing plus exact VF2 checks on
-their bipartite encodings.
+exhaustive claim tractable. Every class is found through an exact
+canonical key on integer bitsets, computed with numpy:
+
+- A graph is a mask over its edge slots, and a set family is a uint64
+  with bit 63 - m set for each member mask m. One helper,
+  `_permuted_extreme`, reduces both over all label permutations, moving
+  bits through per-byte image tables. A graph's key is the least mask in
+  its orbit, a family's the greatest integer. Of two families of one
+  size, the lexicographically smaller sorted member list holds the
+  lowest member of their symmetric difference, which is the highest bit
+  in this layout. So a family's key is its orbit's lexicographically
+  smallest sorted member list, the representative this module returns.
+- A family of 3-element subsets is a 0/1 incidence matrix. Its key is
+  the least, over the orderings of its triples, of the sorted tuple of
+  per-element membership patterns, isolated elements included; that
+  identifies the matrix up to row and column permutations. A class is
+  represented by its first candidate.
+
+Families grow one member at a time from the representatives of the
+level below, each representative extended by every absent member in
+ascending order, and the first candidate of each key is kept. The lists
+therefore come out in one fixed order.
 """
 
 from __future__ import annotations
@@ -14,10 +31,43 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-import networkx as nx
 import numpy as np
 
+from .errors import SizeCapError
+from .model import bits
 from .reductions import CoverInstance, GraphInstance, X3CInstance
+
+MAX_GROUND = 6  # member masks 1..63 fill the low 63 bits of a uint64
+MAX_VERTICES = 7  # every mask over 21 edge slots: 16 MiB of uint64 keys
+
+
+def _permuted_extreme(keys, images, reduce):
+    """`reduce` (np.minimum or np.maximum) of every uint64 key over the bit
+    permutations listed in `images`: row p moves bit i to images[p, i].
+    Each permutation goes through one 256-entry image table per byte the
+    keys use; only one permutation's tables exist at a time."""
+    used = int(np.bitwise_or.reduce(keys))
+    live = [k for k in range(8) if used >> 8 * k & 255]
+    cols = [((keys >> np.uint64(8 * k)) & np.uint64(255)).astype(np.intp)
+            for k in live]
+    images = np.pad(images, ((0, 0), (0, 64 - images.shape[1])))
+    moved = np.uint64(1) << images.reshape(-1, 8, 8)[:, live].astype(np.uint64)
+    tables = np.zeros((len(live), 256), dtype=np.uint64)
+    best = None
+    for bit_images in moved:  # (byte, bit) -> the moved bit
+        for j in range(8):
+            np.bitwise_or(tables[:, :1 << j], bit_images[:, j:j + 1],
+                          out=tables[:, 1 << j:2 << j])
+        out = np.zeros_like(keys)
+        for table, col in zip(tables, cols):
+            out |= table[col]
+        best = out if best is None else reduce(best, out, out=best)
+    return best
+
+
+def _first_of_each(keys):
+    """Indices of the first occurrence of each distinct key, ascending."""
+    return np.sort(np.unique(keys, return_index=True)[1])
 
 
 # ---------------------------------------------------------------------
@@ -27,22 +77,16 @@ from .reductions import CoverInstance, GraphInstance, X3CInstance
 @lru_cache(maxsize=None)
 def graph_classes(n):
     """Canonical edge-index-pair tuples of all n-vertex graphs."""
+    if n > MAX_VERTICES:
+        raise SizeCapError(n, MAX_VERTICES, "vertices")
     slots = list(combinations(range(n), 2))
     slot_of = {e: i for i, e in enumerate(slots)}
-    nbits = len(slots)
-    masks = np.arange(1 << nbits, dtype=np.uint32)
-    canon = masks.copy()
-    for perm in permutations(range(n)):
-        mapped = np.zeros_like(masks)
-        for i, (a, b) in enumerate(slots):
-            j = slot_of[tuple(sorted((perm[a], perm[b])))]
-            mapped |= ((masks >> i) & 1).astype(np.uint32) << np.uint32(j)
-        np.minimum(canon, mapped, out=canon)
-    reps = np.nonzero(canon == masks)[0]
-    out = []
-    for mask in reps:
-        out.append(tuple(slots[i] for i in range(nbits) if mask >> i & 1))
-    return out
+    images = np.array([[slot_of[tuple(sorted((p[a], p[b])))] for a, b in slots]
+                       for p in permutations(range(n))], dtype=np.int64)
+    masks = np.arange(1 << len(slots), dtype=np.uint64)
+    canon = _permuted_extreme(masks, images, np.minimum)
+    return [tuple(slots[i] for i in bits(int(mask)))
+            for mask in np.nonzero(canon == masks)[0]]
 
 
 def graphs_upto(n_max):
@@ -63,83 +107,28 @@ def graph_instance(n, edges, bound):
 # ---------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _mask_perm_table(g):
-    """For each permutation of g elements, the induced map on subset masks."""
-    perms = list(permutations(range(g)))
-    table = np.zeros((len(perms), 1 << g), dtype=np.uint8)
-    for pi, perm in enumerate(perms):
-        for mask in range(1 << g):
-            out = 0
-            for b in range(g):
-                if mask >> b & 1:
-                    out |= 1 << perm[b]
-            table[pi, mask] = out
-    return table
-
-
-def _canon_families(g, fams):
-    """Canonical form (min over permutations) of each family, vectorized.
-
-    `fams` is an (N, width) uint8 array of subset masks padded with 0;
-    the zero mask is not a legal member so padding survives sorting in
-    place. Returns (N,) uint64 packed canonical keys and the canonical
-    row for each family.
-    """
-    table = _mask_perm_table(g)
-    n, width = fams.shape
-    shifts = (np.arange(width, dtype=np.uint64)[::-1] * np.uint64(8))
-
-    def pack(rows):
-        return (rows.astype(np.uint64) << shifts).sum(axis=1)
-
-    best_key = None
-    best_rows = None
-    for pi in range(table.shape[0]):
-        mapped = table[pi][fams]
-        mapped.sort(axis=1)
-        key = pack(mapped)
-        if best_key is None:
-            best_key = key
-            best_rows = mapped
-        else:
-            better = key < best_key
-            best_key = np.where(better, key, best_key)
-            best_rows[better] = mapped[better]
-    return best_key, best_rows
-
-
-@lru_cache(maxsize=None)
 def family_classes(g, family_max):
     """Canonical families of distinct nonempty subsets of a g-element ground
     set, one representative per isomorphism class, sizes 1..family_max."""
-    all_masks = list(range(1, 1 << g))
-    width = family_max
-    levels = []
-    # level 1
-    fams = np.zeros((len(all_masks), width), dtype=np.uint8)
-    fams[:, -1] = all_masks
-    key, rows = _canon_families(g, fams)
-    _, first = np.unique(key, return_index=True)
-    level = [tuple(int(x) for x in rows[i] if x) for i in sorted(first)]
-    levels.append(level)
-    for size in range(2, family_max + 1):
-        cand = []
-        for rep in levels[-1]:
-            have = set(rep)
-            for m in all_masks:
-                if m not in have:
-                    cand.append(sorted(have | {m}))
-        if not cand:
-            levels.append([])
-            continue
-        fams = np.zeros((len(cand), width), dtype=np.uint8)
-        for i, fam in enumerate(cand):
-            fams[i, width - size:] = fam
-        key, rows = _canon_families(g, fams)
-        _, first = np.unique(key, return_index=True)
-        level = [tuple(int(x) for x in rows[i] if x) for i in sorted(first)]
-        levels.append(level)
-    return [fam for level in levels for fam in level]
+    if g > MAX_GROUND:
+        raise SizeCapError(g, MAX_GROUND, "ground elements")
+    member = np.uint64(1) << np.arange(62, 63 - (1 << g), -1, dtype=np.uint64)
+    # the image of mask m under each permutation, then of bit 63 - m
+    moved = (np.arange(64)[:, None] >> np.arange(g) & 1) @ (
+        1 << np.array(list(permutations(range(g)))).T)
+    images = 63 - moved.T[:, ::-1]
+    out = []
+    reps = np.zeros(1, dtype=np.uint64)  # the empty family
+    for _ in range(family_max):
+        cand = reps[:, None] | member[None, :]
+        cand = cand[cand != reps[:, None]]  # row-major: rep, then member
+        if not len(cand):
+            break
+        cand = cand[_first_of_each(cand)]
+        canon = _permuted_extreme(cand, images, np.maximum)
+        reps = canon[_first_of_each(canon)]
+        out.extend(tuple(sorted(63 - b for b in bits(int(key)))) for key in reps)
+    return out
 
 
 def cover_sources(ground_max, family_max):
@@ -157,50 +146,39 @@ def cover_sources(ground_max, family_max):
 # Triple families (X3C sources) up to isomorphism
 # ---------------------------------------------------------------------
 
-def _triple_graph(n_elems, fam):
-    g = nx.Graph()
-    for e in range(n_elems):
-        g.add_node(("e", e), kind="elem")
-    for i, t in enumerate(fam):
-        g.add_node(("t", i), kind="triple")
-        for e in t:
-            g.add_edge(("t", i), ("e", e))
-    return g
-
-
-def _iso(g1, g2):
-    return nx.is_isomorphic(g1, g2,
-                            node_match=lambda a, b: a["kind"] == b["kind"])
+def _incidence_key(fams, tmask, n_elems):
+    """Canonical key of each row of `fams` (triple indices): the least,
+    over orderings of the triples, of the sorted per-element membership
+    patterns, packed into a uint64 with `s` bits per element."""
+    s = fams.shape[1]
+    inc = (tmask[fams][:, None, :] >> np.arange(n_elems)[:, None]) & 1
+    shifts = (s * np.arange(n_elems)[::-1]).astype(np.uint64)
+    best = None
+    for order in permutations(range(s)):
+        patterns = inc @ (1 << np.array(order))  # (fam, element)
+        patterns.sort(axis=1)
+        key = (patterns.astype(np.uint64) << shifts).sum(axis=1)
+        best = key if best is None else np.minimum(best, key, out=best)
+    return best
 
 
 @lru_cache(maxsize=None)
 def triple_family_classes(n_elems, family_max):
     """Canonical families of distinct 3-subsets of n_elems elements."""
-    triples = [frozenset(c) for c in combinations(range(n_elems), 3)]
-    levels = [[(t,) for t in triples[:1]]]  # all single triples are isomorphic
-    out = [(triples[0],)]
-    current = [(triples[0],)]
-    for size in range(2, family_max + 1):
-        buckets = {}
-        reps = []
-        for fam in current:
-            have = set(fam)
-            for t in triples:
-                if t in have:
-                    continue
-                cand = tuple(sorted(have | {t}, key=sorted))
-                graph = _triple_graph(n_elems, cand)
-                key = nx.weisfeiler_lehman_graph_hash(graph, node_attr="kind")
-                hit = False
-                for other_graph in buckets.get(key, ()):
-                    if _iso(graph, other_graph):
-                        hit = True
-                        break
-                if not hit:
-                    buckets.setdefault(key, []).append(graph)
-                    reps.append(cand)
-        out.extend(reps)
-        current = reps
+    if n_elems * family_max > 64:
+        raise SizeCapError(n_elems * family_max, 64, "incidence key bits")
+    triples = list(combinations(range(n_elems), 3))
+    tmask = np.array([sum(1 << e for e in t) for t in triples], dtype=np.int64)
+    out = []
+    reps = [()]
+    for _ in range(family_max):
+        cand = [tuple(sorted(rep + (t,))) for rep in reps
+                for t in range(len(triples)) if t not in rep]
+        if not cand:
+            break
+        keys = _incidence_key(np.array(cand), tmask, n_elems)
+        reps = [cand[i] for i in _first_of_each(keys)]
+        out.extend(tuple(frozenset(triples[t]) for t in rep) for rep in reps)
     return out
 
 

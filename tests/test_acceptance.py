@@ -246,7 +246,7 @@ def test_c08_reduction_iff_sweeps():
         assert res2.equivalent, g
         assert res1.equivalent, g
         checked += 2
-    assert checked > 2500
+    assert checked == 109_127  # 500 + 106,293 + 2 x 1,167: no class lost
     _passed(f"C8 reduction iff sweeps ({checked} exhaustive checks)")
 
 
