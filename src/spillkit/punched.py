@@ -4,18 +4,32 @@ State at a sample: the set of spilled variables live there (an extra
 set). In any optimal solution that set never exceeds 2(h+k) variables:
 inside a maximal stretch where more than h+k spilled variables are live,
 a wholly-contained spilled variable could be unspilled and still fit,
-contradicting optimality, so every spilled variable crosses one of the
-two boundaries and each side contributes at most h+k. The cardinality
-cap therefore preserves exactness while keeping the state family
-polynomial for fixed h and k.
+contradicting optimality (its weight is > 0), so every spilled variable
+crosses one of the two boundaries and each side contributes at most h+k.
+The cardinality cap therefore preserves exactness while keeping the
+state family polynomial for fixed h and k.
+
+The DP runs as a cost-ordered (Dijkstra) search over its layered state
+graph. A node is (column, extra set). Expanding a state extends its key,
+the part of it still live in the next column, by each subset of that
+column's newly live variables the cap and the target allow, and adds the
+weights of the subset. States of a column with the same key have the
+same extensions, so each column keeps only the cheapest state pushed per
+key. Weights are > 0, so no extension lowers a cost: states pop in
+nondecreasing cost, and the first state popped in the last column is an
+optimum. States that cost more than it are never expanded. The extension
+that spills nothing new keeps the cost and lies one column deeper, so it
+is the next pop and skips the heap.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush, heappushpop
 from itertools import combinations
 from math import comb
 
-from .errors import BudgetExceededError, InfeasibleError, WrongShapeError
+from .errors import (BudgetExceededError, InfeasibleError, MalformedCodeError,
+                     WrongShapeError)
 from .model import (HOLES, LINEAR, MaskView, SpillSolution, bits, pressure,
                     run_starts)
 
@@ -25,9 +39,20 @@ DEFAULT_STATE_BUDGET = 10_000_000
 def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     """Minimum-weight spill set with l'(p) <= Maxlive - k under holes.
 
-    `state_budget` caps work: the candidate extra sets of every column
-    are charged against it before they are enumerated, and
-    BudgetExceededError is raised past it.
+    Searches (column, extra set) states in nondecreasing cost and stops at
+    the first state popped in the last column; the module docstring says
+    why that is exact. Runs of equal columns count as one column.
+
+    `state_budget` caps work: each expansion charges the number of
+    candidate extensions it will test before it enumerates them, and
+    BudgetExceededError is raised once the charges pass the budget.
+    The solution's `steps` counts the states popped plus the candidate
+    extensions tested.
+
+    Raises MalformedCodeError when a weight is not > 0, and
+    InfeasibleError when no extra set within the cap reaches the target.
+    Its witness is the first sample no state reaches, or None when the
+    instance has no samples.
     """
     if instance.shape != LINEAR:
         raise WrongShapeError("extra_set_dp handles linear codes only")
@@ -35,70 +60,93 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
         raise WrongShapeError("extra_set_dp needs a code-backed instance")
     if k < 1:
         raise ValueError("decrement k must be >= 1")
+    for v in instance.variables.values():
+        if v.weight <= 0:
+            raise MalformedCodeError(
+                f"extra_set_dp needs weights > 0; {v.id} weighs {v.weight}")
 
     omega = instance.omega
     r = omega - k
     cap = 2 * (instance.h + k)
     view = MaskView(instance)
     live, chad = view.live(), view.chad()
+    starts = run_starts(list(zip(live, chad)))
+    if not starts:
+        raise InfeasibleError(
+            f"no samples, so no extra set reaches pressure {r}", witness=None)
+    last = len(starts) - 1
 
+    # per column: live, chads, the part still live in the next column (a
+    # state's key there), the newly live variables, the relief needed
+    lms = [live[i] for i in starts]
+    columns = [(lm, chad[i], out, lm & ~before, lm.bit_count() - r)
+               for i, lm, out, before in zip(starts, lms, lms[1:] + [0],
+                                             [0] + lms)]
     steps = 0
-    work = 0  # candidate extra sets charged against state_budget
-    layers = []  # per column: {state mask -> (cost, prev state mask)}
-    prev_live = 0
-    prev_layer = {}
-    first = True
-    # Runs of identical (live, chad) columns are visited once; the
-    # matching constraint between equal columns is the identity.
-    for i in run_starts(list(zip(live, chad))):
-        lm, cm = live[i], chad[i]
-        need = lm.bit_count() - r  # minimum relief this column requires
-        groups = {}
-        if not first:
-            for state, (cost, _) in prev_layer.items():
-                steps += 1
-                key = state & lm
-                cur = groups.get(key)
-                if cur is None or cost < cur[0]:
-                    groups[key] = (cost, state)
-        universe = [1 << b for b in bits(lm)]
-        sizes = range(max(0, need), min(cap, len(universe)) + 1)
-        work += sum(comb(len(universe), size) for size in sizes)
+    work = 0  # candidate extensions charged against state_budget
+    best = [{} for _ in starts]  # per column: key -> cheapest cost pushed
+    extensions = {}  # (column, size) -> [(subset of new, weight, non-chads)]
+    # entries (cost, -column, state, parent entry): at equal cost the
+    # deeper column pops first; a root before column 0 holds the empty set
+    heap = [(0, 1, 0, None)]
+    carry = None  # the extension that spills nothing new, if it was kept
+    while heap or carry:
+        # the carried entry costs no more and lies deeper than every queued
+        # one, so it comes next without a trip through the heap
+        entry = heappushpop(heap, carry) if carry else heappop(heap)
+        carry = None
+        cost, neg, state, _ = entry
+        col = -neg
+        steps += 1
+        if col >= 0 and best[col][state & columns[col][2]] < cost:
+            continue  # a cheaper state with this key came first
+        if col == last:
+            break
+        nxt = col + 1
+        lm, cm, out, new, need = columns[nxt]
+        key = state & lm
+        held = key.bit_count()
+        n_new = new.bit_count()
+        sizes = range(max(0, need - held), min(cap - held, n_new) + 1)
+        work += sum(comb(n_new, size) for size in sizes)
         if work > state_budget:
             raise BudgetExceededError(
                 f"extra-set DP exceeded its budget of {state_budget} "
                 f"candidate sets (cap {cap} over {len(view.order)} variables); "
                 "use the exact oracle")
-        layer = {}
+        relief = (key & ~cm).bit_count()
+        layer = best[nxt]
         for size in sizes:
-            for combo in combinations(universe, size):
-                steps += 1
-                e = sum(combo)
-                if (e & ~cm).bit_count() < need:
+            ext = extensions.get((nxt, size))
+            if ext is None:
+                ext = extensions[(nxt, size)] = [
+                    (t, view.weight(t), (t & ~cm).bit_count())
+                    for t in map(sum, combinations(
+                        [1 << b for b in bits(new)], size))]
+            steps += len(ext)
+            for t, w, free in ext:
+                if relief + free < need:
                     continue
-                if first:
-                    layer[e] = (view.weight(e), None)
-                else:
-                    hit = groups.get(e & prev_live)
-                    if hit is None:
-                        continue
-                    cost0, pstate = hit
-                    layer[e] = (cost0 + view.weight(e & ~prev_live), pstate)
-        if not layer:
-            pt, mom = instance.samples[i]
-            raise InfeasibleError(
-                f"no extra set of size <= {cap} reaches pressure {r} "
-                f"at point {pt} ({mom} moment)", witness=(pt, mom))
-        layers.append(layer)
-        prev_layer = layer
-        prev_live = lm
-        first = False
+                e, c = key | t, cost + w
+                old = layer.get(e & out)
+                if old is None or c < old:
+                    layer[e & out] = c
+                    if t:
+                        heappush(heap, (c, -nxt, e, entry))
+                    else:
+                        carry = (c, -nxt, e, entry)
+    else:
+        # columns are reached in order: the first one without a state
+        pt, mom = instance.samples[starts[next(
+            j for j, layer in enumerate(best) if not layer)]]
+        raise InfeasibleError(
+            f"no extra set of size <= {cap} reaches pressure {r} "
+            f"at point {pt} ({mom} moment)", witness=(pt, mom))
 
     spilled_mask = 0
-    state = min(prev_layer, key=lambda e: prev_layer[e][0])  # first cheapest
-    for layer in reversed(layers):
-        spilled_mask |= state
-        state = layer[state][1]
+    while entry is not None:
+        spilled_mask |= entry[2]
+        entry = entry[3]
     spilled = view.decode(spilled_mask)
     return SpillSolution(
         spilled=spilled,

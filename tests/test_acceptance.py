@@ -8,6 +8,7 @@ criterion's brute-force answers come from an `lru_cache`d builder, so
 criterion 11 sees the same cases whichever tests ran before it.
 """
 
+import hashlib
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -247,6 +248,12 @@ def test_c08_reduction_iff_sweeps():
         assert res1.equivalent, g
         checked += 2
     assert checked == 109_127  # 500 + 106,293 + 2 x 1,167: no class lost
+    # the h = 1 optima and the solver that proved each, 1,028 by dp-extra,
+    # as the DP that enumerates every extra set of every column finds them
+    h1 = [(str(res.optimum), res.solver) for _, _, (res, _) in _c8_graphs()]
+    assert sum(solver == "dp-extra" for _, solver in h1) == 1_028
+    assert (hashlib.sha256(repr(h1).encode()).hexdigest()[:16]
+            == "7582e5627907c716")
     _passed(f"C8 reduction iff sweeps ({checked} exhaustive checks)")
 
 

@@ -1,6 +1,13 @@
+import hashlib
+
 import pytest
 
-from spillkit.errors import BudgetExceededError, InfeasibleError, WrongShapeError
+from spillkit.errors import (
+    BudgetExceededError,
+    InfeasibleError,
+    MalformedCodeError,
+    WrongShapeError,
+)
 from spillkit.model import (
     HOLES,
     LINEAR,
@@ -12,16 +19,18 @@ from spillkit.model import (
 )
 from spillkit.oracle import brute_force, brute_force_all, verify
 from spillkit.punched import extra_set_dp
+from spillkit.reductions import gen_indepset_h1
+from spillkit.sweeps import graph_instance
 
 from builders import random_linear_code, seeded, within
 
 
-def spanning_code():
+def spanning_code(a=1):
     # a, b, c span the block; one interior instruction uses a
     return Instance.from_code(
         LINEAR, [Point(1), Point(2), Point(3)],
         [Instruction(2, frozenset({"a"}), frozenset())],
-        {"a": 1, "b": 1, "c": 5},
+        {"a": a, "b": 1, "c": 5},
         livein={"a", "b", "c"}, liveout={"a", "b", "c"})
 
 
@@ -56,6 +65,40 @@ class TestExtraSetDp:
         with within(1.0), pytest.raises(BudgetExceededError):
             extra_set_dp(inst, 18, state_budget=1000)
 
+    def test_state_budget_caps_a_later_expansion(self):
+        # the first column is cheap; the overflow comes where v0..v39 are
+        # defined, and must be charged before any candidate is built
+        vs = [f"v{i}" for i in range(40)]
+        inst = Instance.from_code(
+            LINEAR, [Point(p) for p in range(1, 6)],
+            [Instruction(1, frozenset({"a"}), frozenset()),
+             Instruction(3, frozenset(), frozenset(vs)),
+             Instruction(5, frozenset(vs), frozenset())],
+            {"a": 1, **{v: 1 for v in vs}}, livein={"a"})
+        with within(1.0), pytest.raises(BudgetExceededError):
+            extra_set_dp(inst, 18, state_budget=1000)
+
+    def test_search_stops_at_the_optimum(self):
+        # the h = 1 gadget of the 6-cycle with bound 3: enumerating every
+        # extra set of every column takes 32,751 steps
+        g = graph_instance(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)), 3)
+        cert = gen_indepset_h1(g)
+        sol = extra_set_dp(cert.instance, cert.instance.omega - cert.r)
+        assert sol.cost == 45
+        assert sol.steps < 10_000
+        assert verify(cert.instance, sol.spilled, cert.r, HOLES) == []
+
+    @pytest.mark.parametrize("a", [-3, 0])
+    def test_refuses_weights_not_positive(self, a):
+        with pytest.raises(MalformedCodeError):
+            extra_set_dp(spanning_code(a), 1)
+
+    def test_no_samples_is_infeasible_without_witness(self):
+        inst = Instance.from_code(LINEAR, [], [], {})
+        with pytest.raises(InfeasibleError) as info:
+            extra_set_dp(inst, 1)
+        assert info.value.witness is None
+
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             extra_set_dp(spanning_code(), 0)
@@ -88,6 +131,27 @@ class TestExtraSetDp:
                     assert want.feasible and got.cost == want.cost
                     assert verify(inst, got.spilled, inst.omega - k, HOLES) == []
         assert feasible > 20
+
+    def test_optima_and_witnesses_pinned(self):
+        # costs and infeasibility witnesses of 1,800 seeded runs, 514 of
+        # them infeasible, as the DP that enumerates every extra set of
+        # every column finds them
+        out = []
+        for h in (1, 2):
+            rng = seeded(200 + h)
+            for _ in range(300):
+                inst = random_linear_code(rng, h, n_max=14, m_max=20)
+                for k in (1, 2, 3):
+                    try:
+                        sol = extra_set_dp(inst, k)
+                    except InfeasibleError as exc:
+                        out.append(("infeasible", exc.witness))
+                        continue
+                    assert verify(inst, sol.spilled, inst.omega - k, HOLES) == []
+                    out.append(str(sol.cost))
+        assert sum(isinstance(o, tuple) for o in out) == 514
+        assert (hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+                == "45b854a0aaab2a70")
 
     def test_optimal_solutions_respect_cardinality_bound(self):
         # every brute-force optimum has <= 2(h+k) spilled live at each sample
