@@ -10,10 +10,12 @@ incremental dynamic program that lowers Maxlive by exactly one.
 from __future__ import annotations
 
 from bisect import bisect_left
+from heapq import heappop, heappush
+from itertools import accumulate
 
 from .errors import UnsupportedModeError, WrongShapeError
-from .model import (LINEAR, NOHOLES, MaskView, SpillSolution, bits,
-                    check_mode, pressure, run_starts)
+from .model import (LINEAR, NOHOLES, MaskView, bits, check_mode,
+                    pressure, run_starts, spill_solution)
 
 
 def _require_linear_noholes(instance, mode, what):
@@ -22,18 +24,6 @@ def _require_linear_noholes(instance, mode, what):
         raise WrongShapeError(f"{what} handles linear codes only")
     if mode != NOHOLES:
         raise UnsupportedModeError(f"{what} is defined without holes only")
-
-
-def _solution(instance, spilled, algorithm, steps):
-    spilled = frozenset(spilled)
-    return SpillSolution(
-        spilled=spilled,
-        cost=instance.cost_of(spilled),
-        achieved_omega=pressure(instance, spilled, NOHOLES).max_pressure,
-        algorithm=algorithm,
-        steps=steps,
-        mode=NOHOLES,
-    )
 
 
 def greedy_furthest(instance, r, mode=NOHOLES):
@@ -60,125 +50,128 @@ def greedy_furthest(instance, r, mode=NOHOLES):
             active ^= victim
             steps += 1
     spilled = instance.decode(spilled)
-    return _solution(instance, spilled, "greedy", steps)
-
-
-class _MinCostFlow:
-    """Successive shortest paths with potentials, integer arithmetic."""
-
-    INF = float("inf")
-
-    def __init__(self, n):
-        self.n = n
-        self.graph = [[] for _ in range(n)]
-        self.pops = 0
-
-    def add_edge(self, a, b, cap, cost):
-        self.graph[a].append([b, cap, cost, len(self.graph[b])])
-        self.graph[b].append([a, 0, -cost, len(self.graph[a]) - 1])
-
-    def min_cost_flow(self, s, t, maxflow, potentials):
-        import heapq
-
-        h = list(potentials)  # valid initial potentials (graph is a DAG)
-        flow = 0
-        while flow < maxflow:
-            dist = [self.INF] * self.n
-            prevv = [-1] * self.n
-            preve = [-1] * self.n
-            dist[s] = 0
-            pq = [(0, s)]
-            while pq:
-                d, v = heapq.heappop(pq)
-                self.pops += 1
-                if d > dist[v]:
-                    continue
-                for ei, e in enumerate(self.graph[v]):
-                    to, cap, cost, _ = e
-                    if cap <= 0:
-                        continue
-                    nd = d + cost + h[v] - h[to]
-                    if nd < dist[to]:
-                        dist[to] = nd
-                        prevv[to] = v
-                        preve[to] = ei
-                        heapq.heappush(pq, (nd, to))
-            if dist[t] == self.INF:
-                break
-            for v in range(self.n):
-                if dist[v] < self.INF:
-                    h[v] += dist[v]
-            push = maxflow - flow
-            v = t
-            while v != s:
-                push = min(push, self.graph[prevv[v]][preve[v]][1])
-                v = prevv[v]
-            v = t
-            while v != s:
-                e = self.graph[prevv[v]][preve[v]]
-                e[1] -= push
-                self.graph[v][e[3]][1] += push
-                v = prevv[v]
-            flow += push
-        return flow
+    return spill_solution(instance, spilled, pressure(instance, spilled, NOHOLES),
+                          "greedy", steps)
 
 
 def _flow_solve(instance, r):
     """Returns (kept set, flow per variable arc, dijkstra pops); a
-    variable that is never live has no arc and is always kept."""
+    variable that is never live has no arc and is always kept.
+
+    A node per segment boundary of the sample chain, a chain arc per
+    segment (capacity omega, cost 0) and an arc per live variable over
+    its span (capacity 1, cost minus its weight); a flow of value r keeps
+    the variables whose arcs carry a unit. The empty flow is optimal at
+    value 0, and the all-kept flow (chain arc i carrying omega - live_i)
+    at value omega, where weights > 0 leave every residual cost >= 0.
+    From the nearer one, each Dijkstra search pushes flow from the first
+    node s to the last node t, or back from t to s, stops once it settles
+    its sink and caps every other potential at the sink's distance.
+    """
     view = MaskView(instance)
+    view.require_positive("weighted_optimal")
     spans = instance.spans
-    n_samples = len(instance.samples)
-
-    coords = {0, n_samples}
-    for s, e in spans.values():
-        coords.update((s, e + 1))
-    coords = sorted(coords)
+    coords = sorted({0, len(instance.samples)}.union(
+        *((s, e + 1) for s, e in spans.values())))
     node = {c: i for i, c in enumerate(coords)}
+    n = len(coords)
+    arcs = [(v, node[spans[v][0]], node[spans[v][1] + 1], w)
+            for v, w in zip(view.order, view.weights) if v in spans]
+    load = [0] * n  # live variables over segment i, as differences first
+    for _, a, b, _ in arcs:
+        load[a] += 1
+        load[b] -= 1
+    load = list(accumulate(load))
+    omega = max(load)  # instance.omega, or more if a range has holes
+    forward = r <= omega - r  # from the empty flow, else the all-kept one
 
-    f = _MinCostFlow(len(coords))
-    for i in range(len(coords) - 1):
-        f.add_edge(i, i + 1, r, 0)
-    var_edge = {}
-    for v, w in zip(view.order, view.weights):
-        if v not in spans:
-            continue  # never live: kept, and given no arc
-        s, e = spans[v]
-        a, b = node[s], node[e + 1]
-        var_edge[v] = (a, len(f.graph[a]))
-        f.add_edge(a, b, 1, -w)
+    # arc e runs to head[e] with residual capacity cap[e]; arc e ^ 1 is
+    # its reverse, and arc 2j belongs to arcs[j]
+    head, cap, cost = [], [], []
+    out = [[] for _ in range(n)]
+    for _, a, b, w in arcs:
+        out[a].append(len(head))
+        out[b].append(len(head) + 1)
+        head += (b, a)
+        cap += (1, 0) if forward else (0, 1)
+        cost += (-w, w)
+    for i in range(n - 1):
+        out[i].append(len(head))
+        out[i + 1].append(len(head) + 1)
+        head += (i + 1, i)
+        cap += (omega, 0) if forward else (load[i], omega - load[i])
+        cost += (0, 0)
+    pot = [0] * n
+    if forward:  # valid potentials: shortest distances in the DAG
+        for a in range(n):
+            for e in out[a]:
+                if cap[e] and pot[a] + cost[e] < pot[head[e]]:
+                    pot[head[e]] = pot[a] + cost[e]
+    s, t, want = (0, n - 1, r) if forward else (n - 1, 0, omega - r)
 
-    # initial potentials: shortest distances in the DAG, nodes in order
-    pot = [0] * len(coords)
-    for a in range(len(coords)):
-        for e in f.graph[a]:
-            to, cap, cost, _ = e
-            if cap > 0 and pot[a] + cost < pot[to]:
-                pot[to] = pot[a] + cost
-    f.min_cost_flow(0, len(coords) - 1, r, pot)
+    pops = 0
+    while want > 0:  # t is reachable while the flow is between 0 and omega
+        dist = [float("inf")] * n
+        via = [-1] * n  # the arc each node was reached by
+        dist[s] = 0
+        heap = [(0, s)]
+        while heap:
+            d, v = heappop(heap)
+            pops += 1
+            if v == t:
+                break
+            if d > dist[v]:
+                continue
+            d += pot[v]
+            for e in out[v]:
+                if cap[e]:
+                    u = head[e]
+                    nd = d + cost[e] - pot[u]
+                    if nd < dist[u]:
+                        dist[u] = nd
+                        via[u] = e
+                        heappush(heap, (nd, u))
+        top = dist[t]
+        for v in range(n):
+            pot[v] += min(dist[v], top)
+        path = []
+        v = t
+        while v != s:
+            path.append(via[v])
+            v = head[via[v] ^ 1]
+        push = min([want] + [cap[e] for e in path])
+        for e in path:
+            cap[e] -= push
+            cap[e ^ 1] += push
+        want -= push
 
-    flows = {}
-    kept = set(instance.variables) - spans.keys()
-    for v, (a, ei) in var_edge.items():
-        used = 1 - f.graph[a][ei][1]  # cap 1 minus residual
-        flows[v] = used
-        if used:
-            kept.add(v)
-    return kept, flows, f.pops
+    flows = {v: cap[2 * j + 1] for j, (v, _, _, _) in enumerate(arcs)}
+    kept = set(instance.variables) - {v for v, f in flows.items() if not f}
+    return kept, flows, pops
 
 
 def weighted_optimal(instance, r, mode=NOHOLES):
     """Minimum-weight spill set with pressure <= r everywhere, via min-cost
-    flow on the sample chain; exact integral optimum by total unimodularity."""
+    flow on the sample chain; exact integral optimum by total unimodularity.
+
+    The flow starts from whichever known optimum is nearer to r, the
+    empty flow or the all-kept flow, so it runs at most min(r, omega - r)
+    shortest-path searches: one at r = omega - 1. `steps` counts the heap
+    pops of those searches. Raises MalformedCodeError when a weight is
+    not > 0.
+    """
     _require_linear_noholes(instance, mode, "weighted_optimal")
     if r < 0:
         raise ValueError("register count r must be >= 0")
-    if instance.omega <= r:
-        return _solution(instance, frozenset(), "flow", 0)
-    kept, flows, steps = _flow_solve(instance, r)
-    assert all(x in (0, 1) for x in flows.values())
-    spilled = set(instance.variables) - kept
-    return _solution(instance, spilled, "flow", steps)
+    if instance.omega <= r:  # spill nothing, even where a range has holes
+        MaskView(instance).require_positive("weighted_optimal")
+        spilled, steps = (), 0
+    else:
+        kept, flows, steps = _flow_solve(instance, r)
+        assert all(x in (0, 1) for x in flows.values())
+        spilled = set(instance.variables) - kept
+    return spill_solution(instance, spilled, pressure(instance, spilled, NOHOLES),
+                          "flow", steps)
 
 
 def incremental_cover_dp(instance, mode=NOHOLES):
@@ -186,13 +179,16 @@ def incremental_cover_dp(instance, mode=NOHOLES):
 
     Only the points at full pressure matter; the optimum is a minimum
     weighted cover of those points by live ranges, solved left to right:
-    W(p) = min over v live at p of w(v) + W(pred[start(v)]).
+    W(p) = min over v live at p of w(v) + W(pred[start(v)]). Raises
+    MalformedCodeError when a weight is not > 0.
     """
     _require_linear_noholes(instance, mode, "incremental_cover_dp")
     omega = instance.omega
-    if omega == 0:
-        return _solution(instance, frozenset(), "dp-cover", 0)
     view = MaskView(instance)
+    view.require_positive("incremental_cover_dp")
+    if omega == 0:
+        return spill_solution(instance, (), pressure(instance, (), NOHOLES),
+                              "dp-cover", 0)
     live = instance.live_masks
     peaks = [i for i in run_starts(live) if live[i].bit_count() == omega]
 
@@ -216,4 +212,6 @@ def incremental_cover_dp(instance, mode=NOHOLES):
         _, b, pred = best[k]
         spilled |= 1 << b
         k = pred
-    return _solution(instance, view.decode(spilled), "dp-cover", steps)
+    spilled = view.decode(spilled)
+    return spill_solution(instance, spilled, pressure(instance, spilled, NOHOLES),
+                          "dp-cover", steps)

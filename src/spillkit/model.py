@@ -347,6 +347,14 @@ class MaskView:
     def chad(self):
         return self._chad
 
+    def require_positive(self, what):
+        """Raise MalformedCodeError for the first variable whose weight is
+        not > 0; `what` names the solver that needs them > 0."""
+        for v, w in zip(self.order, self.weights):
+            if w <= 0:
+                raise MalformedCodeError(f"{what} needs weights > 0; {v} "
+                                         f"weighs {Fraction(w, self.scale)}")
+
     def weight(self, mask):
         """Scaled weight of the variables in `mask`."""
         return sum(map(self.weights.__getitem__, bits(mask)))
@@ -557,6 +565,21 @@ def pressure(instance, spilled, mode):
     values = tuple((lm & ~s).bit_count() + (cm & s).bit_count()
                    for lm, cm in zip(instance.live_masks, chads))
     return PressureProfile(instance.samples, values, mode)
+
+
+def spill_solution(instance, spilled, profile, algorithm, steps, proven=True):
+    """The feasible SpillSolution spilling `spilled`, given the pressure
+    profile that spill leaves; the solution's mode is the profile's."""
+    spilled = frozenset(spilled)
+    return SpillSolution(
+        spilled=spilled,
+        cost=instance.cost_of(spilled),
+        achieved_omega=profile.max_pressure,
+        algorithm=algorithm,
+        steps=steps,
+        mode=profile.mode,
+        proven_optimal=proven,
+    )
 
 
 def interference_graph(instance):

@@ -13,7 +13,8 @@ from math import lcm
 
 from . import kernel
 from .errors import SizeCapError
-from .model import HOLES, MaskView, SpillSolution, bits, check_mode, pressure
+from .model import (HOLES, MaskView, SpillSolution, bits, check_mode, pressure,
+                    spill_solution)
 
 DEFAULT_CAP = 20
 DEFAULT_ALL_CAP = 100_000
@@ -35,19 +36,6 @@ def encode(instance, mode):
     return view, [lm for lm, _ in rows], [cm for _, cm in rows]
 
 
-def _solution(instance, spilled, mode, algorithm, steps, proven=True):
-    return SpillSolution(
-        spilled=spilled,
-        cost=instance.cost_of(spilled),
-        achieved_omega=pressure(instance, spilled, mode).max_pressure,
-        algorithm=algorithm,
-        steps=steps,
-        mode=mode,
-        feasible=True,
-        proven_optimal=proven,
-    )
-
-
 def _infeasible(instance, mode, algorithm, steps, proven=True):
     return SpillSolution(
         spilled=frozenset(), cost=None, achieved_omega=None,
@@ -67,7 +55,9 @@ def brute_force(instance, r, mode, cap=DEFAULT_CAP):
     cost, mask, steps = kernel.sweep(n, view.weights, live, chad, r, holes)
     if cost is None:
         return _infeasible(instance, mode, "brute", steps)
-    return _solution(instance, view.decode(mask), mode, "brute", steps)
+    spilled = view.decode(mask)
+    return spill_solution(instance, spilled, pressure(instance, spilled, mode),
+                          "brute", steps)
 
 
 def brute_force_all(instance, r, mode, cap=DEFAULT_CAP, all_cap=DEFAULT_ALL_CAP):
@@ -82,7 +72,9 @@ def brute_force_all(instance, r, mode, cap=DEFAULT_CAP, all_cap=DEFAULT_ALL_CAP)
         return _infeasible(instance, mode, "brute", steps), [], False
     masks, truncated = kernel.sweep_all(n, view.weights, live, chad, r, holes,
                                         cost, all_cap)
-    best = _solution(instance, view.decode(mask), mode, "brute", steps)
+    spilled = view.decode(mask)
+    best = spill_solution(instance, spilled, pressure(instance, spilled, mode),
+                          "brute", steps)
     return best, [view.decode(m) for m in masks], truncated
 
 
@@ -98,6 +90,7 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
     Matches brute_force wherever both run. On node-budget exhaustion the
     best incumbent is returned with proven_optimal=False instead of an
     error (an incumbent may simply not exist yet: feasible=False then).
+    Raises MalformedCodeError when a weight is not > 0.
     """
     check_mode(mode)
     n = instance.n_vars
@@ -106,6 +99,7 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
     # that are over-pressured before any spilling), by weight / relief as
     # the exact integer weight * (lcm / relief).
     view, live, chad = encode(instance, mode)
+    view.require_positive("branch_and_bound")
     cover = [0] * n
     for lm, cm in zip(live, chad):
         if lm.bit_count() > r:
@@ -259,4 +253,5 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
     if best_cost is None:
         return _infeasible(instance, mode, "bnb", steps, proven=not budget_hit)
     spilled = frozenset(map(order.__getitem__, bits(best_mask)))
-    return _solution(instance, spilled, mode, "bnb", steps, proven=not budget_hit)
+    return spill_solution(instance, spilled, pressure(instance, spilled, mode),
+                          "bnb", steps, proven=not budget_hit)

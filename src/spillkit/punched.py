@@ -28,10 +28,9 @@ from heapq import heappop, heappush, heappushpop
 from itertools import combinations
 from math import comb
 
-from .errors import (BudgetExceededError, InfeasibleError, MalformedCodeError,
-                     WrongShapeError)
-from .model import (HOLES, LINEAR, MaskView, SpillSolution, bits, pressure,
-                    run_starts)
+from .errors import BudgetExceededError, InfeasibleError, WrongShapeError
+from .model import (HOLES, LINEAR, MaskView, bits, pressure, run_starts,
+                    spill_solution)
 
 DEFAULT_STATE_BUDGET = 10_000_000
 
@@ -60,15 +59,12 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
         raise WrongShapeError("extra_set_dp needs a code-backed instance")
     if k < 1:
         raise ValueError("decrement k must be >= 1")
-    for v in instance.variables.values():
-        if v.weight <= 0:
-            raise MalformedCodeError(
-                f"extra_set_dp needs weights > 0; {v.id} weighs {v.weight}")
+    view = MaskView(instance)
+    view.require_positive("extra_set_dp")
 
     omega = instance.omega
     r = omega - k
     cap = 2 * (instance.h + k)
-    view = MaskView(instance)
     live, chad = view.live(), view.chad()
     starts = run_starts(list(zip(live, chad)))
     if not starts:
@@ -148,11 +144,5 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
         spilled_mask |= entry[2]
         entry = entry[3]
     spilled = view.decode(spilled_mask)
-    return SpillSolution(
-        spilled=spilled,
-        cost=instance.cost_of(spilled),
-        achieved_omega=pressure(instance, spilled, HOLES).max_pressure,
-        algorithm="dp-extra",
-        steps=steps,
-        mode=HOLES,
-    )
+    return spill_solution(instance, spilled, pressure(instance, spilled, HOLES),
+                          "dp-extra", steps)

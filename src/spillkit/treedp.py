@@ -16,14 +16,8 @@ from math import comb
 
 from .errors import (BudgetExceededError, InfeasibleError, MalformedCodeError,
                      UnsupportedModeError)
-from .model import (
-    HOLES,
-    NOHOLES,
-    MaskView,
-    SpillSolution,
-    bits,
-    pressure,
-)
+from .model import (HOLES, NOHOLES, MaskView, SpillSolution, bits,
+                    pressure, spill_solution)
 
 DEFAULT_STATE_BUDGET = 10_000_000
 
@@ -50,6 +44,8 @@ def _solve_fitting(instance, k, holes, state_budget):
     mode = HOLES if holes else NOHOLES
     algo = "dp-fit-holes" if holes else "dp-fit"
 
+    view = MaskView(instance)
+    view.require_positive("fitting_set_dp_holes" if holes else "fitting_set_dp")
     if instance.omega <= k:
         return SpillSolution(frozenset(), Fraction(0), instance.omega,
                              algo, 0, mode=mode)
@@ -61,7 +57,6 @@ def _solve_fitting(instance, k, holes, state_budget):
                     f"even the full spill leaves pressure {chads.bit_count()} > {k} "
                     f"at point {pt} ({mom} moment)", witness=(pt, mom))
 
-    view = MaskView(instance)
     w = view.weights
     children = _sample_children(instance)
     live = view.live()
@@ -140,14 +135,8 @@ def _solve_fitting(instance, k, holes, state_budget):
         for c, fc in tables[i][f][1]:
             stack.append((c, fc))
     spilled = frozenset(instance.variables) - view.decode(kept)
-    return SpillSolution(
-        spilled=spilled,
-        cost=instance.cost_of(spilled),
-        achieved_omega=pressure(instance, spilled, mode).max_pressure,
-        algorithm=algo,
-        steps=steps,
-        mode=mode,
-    )
+    return spill_solution(instance, spilled, pressure(instance, spilled, mode),
+                          algo, steps)
 
 
 def fitting_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
@@ -157,6 +146,7 @@ def fitting_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     any chordal instance of this toolkit. `state_budget` caps work: the
     candidate fitting sets of every sample are charged against it before
     they are enumerated, and BudgetExceededError is raised past it.
+    Raises MalformedCodeError when a weight is not > 0.
     """
     return _solve_fitting(instance, k, holes=False, state_budget=state_budget)
 
@@ -164,5 +154,5 @@ def fitting_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
 def fitting_set_dp_holes(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     """As fitting_set_dp, under hole semantics (spilled uses/defs still
     occupy a register at their instruction); `state_budget` caps work
-    the same way."""
+    and weights must be > 0 the same way."""
     return _solve_fitting(instance, k, holes=True, state_budget=state_budget)

@@ -24,6 +24,21 @@ def random_linear_ranges(rng, n_max=12, m_max=20, w_max=1):
     return inst
 
 
+def random_linear_block(rng, n, mean_len=8, w_max=9):
+    """A range instance shaped like a basic block: n points, n variables,
+    each live from a random point for about mean_len points (exponential,
+    cut at the block's end), weights 1..w_max."""
+    ranges = {}
+    weights = {}
+    for i in range(n):
+        a = rng.randint(1, n)
+        b = min(n, a + 1 + int(rng.expovariate(1 / (mean_len - 1))))
+        ranges[f"v{i}"] = range(a, b + 1)
+        weights[f"v{i}"] = rng.randint(1, w_max)
+    return Instance.from_ranges(LINEAR, [Point(p) for p in range(1, n + 1)],
+                                ranges, weights)
+
+
 def random_tree_points(rng, p_max):
     npts = rng.randint(1, p_max)
     pts = [Point(1)]

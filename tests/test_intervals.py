@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import networkx as nx
 import pytest
 
 from spillkit.errors import UnsupportedModeError, WrongShapeError
@@ -18,7 +21,7 @@ from spillkit.model import (
 )
 from spillkit.oracle import brute_force
 
-from builders import random_linear_ranges, seeded
+from builders import random_linear_block, random_linear_ranges, seeded
 
 
 def ranges_inst(ranges, weights=None):
@@ -113,6 +116,32 @@ class TestWeightedOptimal:
         assert sol.spilled == {"a"}
         assert sol.cost == brute_force(inst, 1, NOHOLES).cost == 1
 
+    def test_matches_network_simplex_at_scale(self):
+        # networkx's network simplex on the same r-unit flow, at sizes
+        # brute force cannot reach; the targets take both starts (the
+        # empty flow for r <= omega - r, the all-kept flow above) and
+        # their tie at even omega
+        for seed in range(6):
+            rng = seeded(40 + seed)
+            inst = random_linear_block(rng, rng.randint(100, 400),
+                                       mean_len=rng.choice((4, 8, 16)))
+            om = inst.omega
+            for r in sorted({1, 2, om // 2, (om + 1) // 2, om - 2, om - 1}):
+                assert weighted_optimal(inst, r).cost == _simplex_cost(inst, r)
+                _, flows, _ = _flow_solve(inst, r)
+                assert set(flows.values()) <= {0, 1}
+            assert weighted_optimal(inst, om - 1).cost == \
+                incremental_cover_dp(inst).cost
+
+    def test_one_search_at_omega_minus_one(self):
+        # from the all-kept flow, r = omega - 1 is one shortest-path
+        # search; r searches from the empty flow took 18,017 pops on this
+        # block (27,267 on perfbench's 1,000-point weighted block)
+        inst = random_linear_block(seeded(1), 1000)
+        sol = weighted_optimal(inst, inst.omega - 1)
+        assert sol.cost == incremental_cover_dp(inst).cost
+        assert sol.steps < 18_017 // 10
+
     def test_monotone_in_r(self):
         rng = seeded(14)
         for _ in range(30):
@@ -128,6 +157,23 @@ class TestWeightedOptimal:
             for r in range(1, inst.omega + 1):
                 assert len(weighted_optimal(inst, r).spilled) == \
                     len(greedy_furthest(inst, r).spilled)
+
+
+def _simplex_cost(inst, r):
+    """The least spill cost at r by network simplex: r units along the
+    sample chain, each live variable a unit bypass paying minus its
+    weight."""
+    g = nx.MultiDiGraph()
+    bounds = sorted({0, len(inst.samples)}.union(
+        *((s, e + 1) for s, e in inst.spans.values())))
+    for a, b in zip(bounds, bounds[1:]):
+        g.add_edge(a, b, capacity=r, weight=0)
+    for v, (s, e) in inst.spans.items():
+        g.add_edge(s, e + 1, capacity=1, weight=-int(inst.weight(v)))
+    g.nodes[0]["demand"] = -r
+    g.nodes[len(inst.samples)]["demand"] = r
+    kept, _ = nx.network_simplex(g)
+    return sum(v.weight for v in inst.variables.values()) + Fraction(kept)
 
 
 class TestIncrementalCover:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spillkit import kernel
-from spillkit.errors import InfeasibleError, SizeCapError
+from spillkit.errors import InfeasibleError, MalformedCodeError, SizeCapError
 from spillkit.intervals import (
     greedy_furthest,
     incremental_cover_dp,
@@ -339,3 +339,31 @@ def test_polynomial_solvers_match_brute_force(family, seed, data):
         if ref.feasible:
             assert sol.cost == ref.cost, name
             assert verify(inst, sol.spilled, r, mode) == [], name
+
+
+_WEIGHTED_SOLVERS = {
+    "flow": lambda inst, r: weighted_optimal(inst, r),
+    "dp-cover": lambda inst, r: incremental_cover_dp(inst),
+    "dp-fit": lambda inst, r: fitting_set_dp(inst, r),
+    "dp-fit-holes": lambda inst, r: fitting_set_dp_holes(inst, r),
+    "dp-extra": lambda inst, r: extra_set_dp(inst, inst.omega - r),
+    "bnb": lambda inst, r: branch_and_bound(inst, r, NOHOLES),
+    "bnb-holes": lambda inst, r: branch_and_bound(inst, r, HOLES),
+}
+
+
+@pytest.mark.parametrize("weight", [0, -1])
+@pytest.mark.parametrize("name", sorted(_WEIGHTED_SOLVERS))
+def test_weights_not_positive_are_refused(name, weight):
+    """Construction accepts any weight, but every solver that relies on
+    weights > 0 refuses the instance; brute force alone takes it."""
+    inst = Instance.from_code(
+        LINEAR, [Point(1), Point(2), Point(3)],
+        [Instruction(1, frozenset(), frozenset({"a", "b", "c"})),
+         Instruction(2, frozenset({"a", "b"}), frozenset()),
+         Instruction(3, frozenset({"c"}), frozenset())],
+        {"a": 2, "b": weight, "c": 1})
+    r = inst.omega - 1
+    assert brute_force(inst, r, NOHOLES).feasible
+    with pytest.raises(MalformedCodeError, match=f"b weighs {weight}"):
+        _WEIGHTED_SOLVERS[name](inst, r)
