@@ -1,12 +1,10 @@
-"""Command-line surface: solve, check, gen, pressure, bench."""
+"""Command-line surface: solve, check, gen, pressure."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
@@ -23,7 +21,8 @@ from .errors import (
 )
 from .fileformat import parse, parse_source, serialize
 from .intervals import greedy_furthest, incremental_cover_dp, weighted_optimal
-from .model import HOLES, LINEAR, NOHOLES, SpillSolution, is_chordal, pressure, validate
+from .model import (HOLES, LINEAR, NOHOLES, empty_solution, is_chordal,
+                    pressure, validate)
 from .punched import extra_set_dp
 from .reductions import (
     INDEPSET1,
@@ -84,14 +83,9 @@ def _pick_auto(inst, mode, form, r_val):
     return "bnb"
 
 
-def _trivial(inst, mode, algo):
-    return SpillSolution(frozenset(), Fraction(0), inst.omega, algo, 0,
-                         mode=mode)
-
-
 def _run_algo(algo, inst, mode, form, r_val):
     if r_val >= inst.omega:
-        return _trivial(inst, mode, algo)
+        return empty_solution(inst, mode, algo)
     if algo == "greedy":
         return greedy_furthest(inst, r_val, mode)
     if algo == "flow":
@@ -270,44 +264,6 @@ def _cmd_pressure(args, out, err):
     return EXIT_OK
 
 
-def _bench_instances(seed):
-    from .model import Instance, Point
-
-    rng = random.Random(seed)
-    for m in (10, 20, 40):
-        for n in (6, 10, 14):
-            ranges = {}
-            weights = {}
-            for i in range(n):
-                a, b = sorted((rng.randint(1, m), rng.randint(1, m)))
-                ranges[f"v{i}"] = range(a, b + 1)
-                weights[f"v{i}"] = rng.randint(1, 9)
-            pts = [Point(p) for p in range(1, m + 1)]
-            yield m, n, Instance.from_ranges(LINEAR, pts, ranges, weights)
-
-
-def _cmd_bench(args, out, err):
-    rows = []
-    for m, n, inst in _bench_instances(args.seed):
-        t0 = time.perf_counter()
-        sol = incremental_cover_dp(inst)
-        rows.append(("dp-cover", m, n, inst.omega, "-", sol.steps,
-                     time.perf_counter() - t0))
-        for k in (1, 2):
-            if inst.omega <= k:
-                continue
-            t0 = time.perf_counter()
-            sol = fitting_set_dp(inst, k)
-            rows.append(("dp-fit", m, n, inst.omega, k, sol.steps,
-                         time.perf_counter() - t0))
-    out.write(f"{'algo':<10} {'m':>4} {'n':>4} {'omega':>5} {'k':>3} "
-              f"{'steps':>8} {'seconds':>9}\n")
-    for algo, m, n, om, k, steps, dt in rows:
-        out.write(f"{algo:<10} {m:>4} {n:>4} {om:>5} {k!s:>3} "
-                  f"{steps:>8} {dt:>9.4f}\n")
-    return EXIT_OK
-
-
 def _read(path):
     with open(path) as fh:
         return fh.read()
@@ -346,14 +302,11 @@ def build_parser():
     pp.add_argument("--mode", default="noholes", choices=("holes", "noholes"))
     pp.add_argument("--spill", help="comma-separated spilled variables")
     pp.add_argument("file")
-
-    bp = sub.add_parser("bench", help="DP step counts and seconds vs m and omega")
-    bp.add_argument("--seed", type=int, default=0)
     return ap
 
 
 _COMMANDS = {"solve": _cmd_solve, "check": _cmd_check, "gen": _cmd_gen,
-             "pressure": _cmd_pressure, "bench": _cmd_bench}
+             "pressure": _cmd_pressure}
 
 
 def run(argv, out=None, err=None):

@@ -14,8 +14,8 @@ from heapq import heappop, heappush
 from itertools import accumulate
 
 from .errors import UnsupportedModeError, WrongShapeError
-from .model import (LINEAR, NOHOLES, MaskView, bits, check_mode,
-                    pressure, run_starts, spill_solution)
+from .model import (LINEAR, NOHOLES, bits, check_mode, pressure, run_starts,
+                    spill_solution)
 
 
 def _require_linear_noholes(instance, mode, what):
@@ -30,6 +30,7 @@ def greedy_furthest(instance, r, mode=NOHOLES):
     """Belady eviction: at the first over-pressured point, drop the live
     variable ending furthest. Optimal in cardinality for unit weights;
     weights are ignored for decisions but reported in the cost."""
+    instance.require_sound("greedy_furthest")
     _require_linear_noholes(instance, mode, "greedy_furthest")
     if r < 0:
         raise ValueError("register count r must be >= 0")
@@ -68,21 +69,20 @@ def _flow_solve(instance, r):
     node s to the last node t, or back from t to s, stops once it settles
     its sink and caps every other potential at the sink's distance.
     """
-    view = MaskView(instance)
-    view.require_positive("weighted_optimal")
     spans = instance.spans
     coords = sorted({0, len(instance.samples)}.union(
         *((s, e + 1) for s, e in spans.values())))
     node = {c: i for i, c in enumerate(coords)}
     n = len(coords)
     arcs = [(v, node[spans[v][0]], node[spans[v][1] + 1], w)
-            for v, w in zip(view.order, view.weights) if v in spans]
+            for v, w in zip(instance.var_ids, instance.int_weights)
+            if v in spans]
     load = [0] * n  # live variables over segment i, as differences first
     for _, a, b, _ in arcs:
         load[a] += 1
         load[b] -= 1
     load = list(accumulate(load))
-    omega = max(load)  # instance.omega, or more if a range has holes
+    omega = instance.omega
     forward = r <= omega - r  # from the empty flow, else the all-kept one
 
     # arc e runs to head[e] with residual capacity cap[e]; arc e ^ 1 is
@@ -157,14 +157,14 @@ def weighted_optimal(instance, r, mode=NOHOLES):
     The flow starts from whichever known optimum is nearer to r, the
     empty flow or the all-kept flow, so it runs at most min(r, omega - r)
     shortest-path searches: one at r = omega - 1. `steps` counts the heap
-    pops of those searches. Raises MalformedCodeError when a weight is
-    not > 0.
+    pops of those searches. Raises MalformedCodeError on an instance
+    that is not sound (Instance.problem), a weight not > 0 among them.
     """
+    instance.require_sound("weighted_optimal")
     _require_linear_noholes(instance, mode, "weighted_optimal")
     if r < 0:
         raise ValueError("register count r must be >= 0")
-    if instance.omega <= r:  # spill nothing, even where a range has holes
-        MaskView(instance).require_positive("weighted_optimal")
+    if instance.omega <= r:
         spilled, steps = (), 0
     else:
         kept, flows, steps = _flow_solve(instance, r)
@@ -180,16 +180,15 @@ def incremental_cover_dp(instance, mode=NOHOLES):
     Only the points at full pressure matter; the optimum is a minimum
     weighted cover of those points by live ranges, solved left to right:
     W(p) = min over v live at p of w(v) + W(pred[start(v)]). Raises
-    MalformedCodeError when a weight is not > 0.
+    MalformedCodeError on an instance that is not sound.
     """
+    instance.require_sound("incremental_cover_dp")
     _require_linear_noholes(instance, mode, "incremental_cover_dp")
     omega = instance.omega
-    view = MaskView(instance)
-    view.require_positive("incremental_cover_dp")
     if omega == 0:
         return spill_solution(instance, (), pressure(instance, (), NOHOLES),
                               "dp-cover", 0)
-    live = instance.live_masks
+    live, spans, ids = instance.live_masks, instance.spans, instance.var_ids
     peaks = [i for i in run_starts(live) if live[i].bit_count() == omega]
 
     # best[k]: (cost, chosen bit, predecessor peak index) covering peaks 0..k
@@ -199,9 +198,9 @@ def incremental_cover_dp(instance, mode=NOHOLES):
         cand = None
         for b in bits(live[i]):
             steps += 1
-            pred = bisect_left(peaks, instance.spans[view.order[b]][0]) - 1
+            pred = bisect_left(peaks, spans[ids[b]][0]) - 1
             below = best[pred][0] if pred >= 0 else 0
-            c = view.weights[b] + below
+            c = instance.int_weights[b] + below
             if cand is None or c < cand[0]:
                 cand = (c, b, pred)
         best.append(cand)
@@ -212,6 +211,6 @@ def incremental_cover_dp(instance, mode=NOHOLES):
         _, b, pred = best[k]
         spilled |= 1 << b
         k = pred
-    spilled = view.decode(spilled)
+    spilled = instance.decode(spilled)
     return spill_solution(instance, spilled, pressure(instance, spilled, NOHOLES),
                           "dp-cover", steps)

@@ -1,9 +1,9 @@
 """The spill-subset search behind the exhaustive oracle.
 
 Masks are ints over the variable order chosen by the caller, weights are
-pre-scaled ints. `live` / `chad` are per-constraint-row bitmasks (callers
-deduplicate identical rows). A subset S is feasible at target r when, for
-every row,
+pre-scaled ints >= 0. `live` / `chad` are per-constraint-row bitmasks
+(callers deduplicate identical rows). A subset S is feasible at target r
+when, for every row,
 
     popcount(live & ~S) [+ popcount(chad & S) with holes]  <=  r.
 
@@ -33,25 +33,20 @@ def _by_cost(n, weights):
 
         cost << (n + 5) | mask << 5 | tail
 
-    where cost is the subset's weight less the sum of the negative
-    weights. Equal costs need not come in mask order. The indices are
-    taken in order of |weight|, and tail is one past the place, in that
-    order, of the last one chosen (0 when none is). A negative weight's
-    bit is set in the mask unless it is chosen, so choosing an index
-    never lowers the cost. Each subset comes from its parent by choosing
-    the next index after its last chosen one, or by moving that last
-    choice one place on.
+    Equal costs need not come in mask order. The indices are taken in
+    order of weight, and tail is one past the place, in that order, of
+    the last one chosen (0 when none is). Each subset comes from its
+    parent by choosing the next index after its last chosen one, or by
+    moving that last choice one place on; neither lowers the cost.
     """
-    absw = list(map(abs, weights))
-    order = sorted(range(n), key=absw.__getitem__)
+    order = sorted(range(n), key=weights.__getitem__)
     sh = n + 5
-    ws = [absw[i] for i in order]
-    # how choosing order[t] changes the mask
-    flip = [1 << i if weights[i] >= 0 else -(1 << i) for i in order]
-    add = [(ws[t] << sh) + (flip[t] << 5) + 1 for t in range(n)]
-    move = [0] + [((ws[t] - ws[t - 1]) << sh) + ((flip[t] - flip[t - 1]) << 5)
+    ws = [weights[i] for i in order]
+    bit = [1 << i for i in order]
+    add = [(ws[t] << sh) + (bit[t] << 5) + 1 for t in range(n)]
+    move = [0] + [((ws[t] - ws[t - 1]) << sh) + ((bit[t] - bit[t - 1]) << 5)
                   + 1 for t in range(1, n)]
-    heap = [sum(1 << i for i in range(n) if weights[i] < 0) << 5]
+    heap = [0]
     while heap:
         e = heap[0]
         yield e
@@ -96,15 +91,14 @@ def sweep(n, weights, live, chad, r, holes):
     """
     full, least, decides = _prepare(n, live, chad, r, holes)
     sh = n + 5
-    base = sum(w for w in weights if w < 0)
-    top = sum(map(abs, weights))  # no subset costs more, less base
+    top = sum(weights)  # no subset costs more
     best = (top + 1) << n  # cost << n | mask of the best subset so far
     tested = 0
     if decides:
         tested = 1
         if not _feasible(full, live, chad, r, holes, full):
             return None, None, tested
-        best = (sum(weights) - base) << n | full
+        best = top << n | full
     stop = ((best >> n) + 1) << sh
     for e in _by_cost(n, weights):
         if e >= stop:
@@ -121,7 +115,7 @@ def sweep(n, weights, live, chad, r, holes):
             stop = ((key >> n) + 1) << sh
     if best >> n > top:
         return None, None, tested
-    return (best >> n) + base, best & full, tested
+    return best >> n, best & full, tested
 
 
 def sweep_all(n, weights, live, chad, r, holes, target_cost, cap):
@@ -134,8 +128,7 @@ def sweep_all(n, weights, live, chad, r, holes, target_cost, cap):
     if decides and not _feasible(full, live, chad, r, holes, full):
         return [], False
     sh = n + 5
-    target = target_cost - sum(w for w in weights if w < 0)
-    start, stop = target << sh, (target + 1) << sh
+    start, stop = target_cost << sh, (target_cost + 1) << sh
     out = []
     for e in _by_cost(n, weights):
         if e >= stop:

@@ -105,9 +105,17 @@ class Instance:
     Build one with from_code (liveness derived from instructions; the
     constructor's `ranges` is None) or from_ranges (ranges given). Do not
     mutate after construction; solvers assume all derived tables (sample
-    order, live and chad masks, spans, omega, h) are frozen. Bit i of a
-    mask stands for var_ids[i], the sorted ids; spans[v] is the first and
-    last sample at which v is live (absent if v is never live).
+    order, live and chad masks, spans, integer weights, omega, h) are
+    frozen. Bit i of a mask stands for var_ids[i], the sorted ids;
+    int_weights[i] is its weight times `scale`, the lcm of the weights'
+    denominators; spans[v] is the first and last sample at which v is
+    live (absent if v is never live).
+
+    Construction never raises on malformed input. It records in `problem`
+    the first reason the solvers cannot trust the instance, or None: the
+    points do not form one tree, a weight is not > 0, a live range is not
+    connected along the samples, or a chad lies where its variable is not
+    live. Every solver calls require_sound() first.
     """
 
     def __init__(self, shape, points, weights, ranges=None, instructions=(),
@@ -119,7 +127,7 @@ class Instance:
         self.livein = frozenset(livein)
         self.liveout = frozenset(liveout)
 
-        order, children = _point_structure(shape, self.points)
+        order, children, problem = _point_structure(shape, self.points)
         self.point_order = order  # point ids, chain order or DFS preorder
         self.children = children  # point id -> tuple of child ids
         self.point_pos = {p: i for i, p in enumerate(order)}
@@ -149,11 +157,16 @@ class Instance:
                                            LiveRange(kind, frozenset(rng)),
                                            frozenset(chads))
         self.var_ids = tuple(self.variables)
+        ws = [v.weight for v in self.variables.values()]
+        self.scale = lcm(*(w.denominator for w in ws))
+        self.int_weights = tuple(w.numerator * (self.scale // w.denominator)
+                                 for w in ws)
         self.live_masks = tuple(accumulate(flips[:-1], int.__xor__))
         self.chad_masks = tuple(chad)
         self.omega = max((m.bit_count() for m in self.live_masks), default=0)
         self.h = max((max(len(i.uses), len(i.defs))
                       for i in self.instructions or ()), default=0)
+        self.problem = problem or self._unsound_masks()
 
     # -- construction -------------------------------------------------
 
@@ -263,6 +276,48 @@ class Instance:
                     runs.append((first, last))
         return rng, runs
 
+    def _unsound_masks(self):
+        """The first problem in the weights and masks of an instance whose
+        points form one tree, or None.
+
+        A range is connected along the sample tree iff it has one top: a
+        sample where the variable is live but not at the parent sample
+        (the previous sample on a block; on a tree the previous one for a
+        def moment, and the parent point's def moment for a use moment).
+        """
+        for vid, w in zip(self.var_ids, self.int_weights):
+            if w <= 0:
+                return f"weights > 0; {vid} weighs {self.weight(vid)}"
+        live = self.live_masks
+        if self.shape == LINEAR:
+            ups = (0,) + live[:-1]
+        else:
+            ups = []
+            for i, p in enumerate(self.point_order):
+                q = self.parent_of[p]
+                ups += (0 if q is None else live[2 * self.point_pos[q] + 1],
+                        live[2 * i])
+        seen = 0  # variables whose top has been passed
+        for lm, up in zip(live, ups):
+            tops = (lm ^ up) & lm  # xor, not & ~up: ints stay positive
+            if tops & seen:
+                vid = min(self.decode(tops & seen))
+                return (f"connected live ranges; {vid} is live in two "
+                        "separate places")
+            seen |= tops
+        for (p, m), lm, cm in zip(self.samples, live, self.chad_masks):
+            if cm & lm != cm:
+                vid = min(self.decode(cm ^ cm & lm))
+                return (f"chads where their variable is live; {vid} has one "
+                        f"at ({p}, {m})")
+        return None
+
+    def require_sound(self, what):
+        """Raise MalformedCodeError naming `problem`, if there is one;
+        `what` names the solver that cannot trust the instance."""
+        if self.problem:
+            raise MalformedCodeError(f"{what} needs {self.problem}")
+
     # -- convenience --------------------------------------------------
 
     @property
@@ -273,12 +328,13 @@ class Instance:
     def n_points(self):
         return len(self.points)
 
-    def var_order(self):
-        return list(self.var_ids)
-
     def decode(self, mask):
         """The variable ids in `mask`."""
         return frozenset(map(self.var_ids.__getitem__, bits(mask)))
+
+    def int_weight(self, mask):
+        """Scaled weight of the variables in `mask`."""
+        return sum(map(self.int_weights.__getitem__, bits(mask)))
 
     @property
     def live_at(self):
@@ -323,47 +379,6 @@ class Instance:
                 f"omega={self.omega}, h={self.h})")
 
 
-class MaskView:
-    """The bit-mask view of an instance that the solvers read, built per
-    call and not kept on the instance.
-
-    Bit i stands for variable order[i], the instance's i-th sorted id,
-    and weights[i] is order[i]'s weight times `scale`, the lcm of the
-    denominators. live() and chad() list each sample's mask of live
-    variables and of chads, as the instance stores them.
-    """
-
-    def __init__(self, instance):
-        self.order = instance.var_order()
-        ws = [instance.variables[v].weight for v in self.order]
-        self.scale = lcm(*(w.denominator for w in ws))
-        self.weights = [w.numerator * (self.scale // w.denominator) for w in ws]
-        self._live = list(instance.live_masks)
-        self._chad = list(instance.chad_masks)
-
-    def live(self):
-        return self._live
-
-    def chad(self):
-        return self._chad
-
-    def require_positive(self, what):
-        """Raise MalformedCodeError for the first variable whose weight is
-        not > 0; `what` names the solver that needs them > 0."""
-        for v, w in zip(self.order, self.weights):
-            if w <= 0:
-                raise MalformedCodeError(f"{what} needs weights > 0; {v} "
-                                         f"weighs {Fraction(w, self.scale)}")
-
-    def weight(self, mask):
-        """Scaled weight of the variables in `mask`."""
-        return sum(map(self.weights.__getitem__, bits(mask)))
-
-    def decode(self, mask):
-        """The variable ids in `mask`."""
-        return frozenset(map(self.order.__getitem__, bits(mask)))
-
-
 def bits(mask):
     """The indices of the set bits of `mask`, ascending."""
     while mask:
@@ -379,13 +394,22 @@ def run_starts(columns):
 
 
 def _point_structure(shape, points):
-    """Validate nothing; just produce a usable order and child map."""
+    """(order, child map, problem): a usable point order (chain order or
+    DFS preorder, unreached points last) and child map whatever the
+    points, and the first reason they do not form one tree, or None."""
     ids = [p.id for p in points]
     children = {p.id: [] for p in points}
+    problem = None
+    if len(children) < len(ids):
+        problem = "unique point ids"
     if shape == LINEAR:
         order = sorted(ids)
         for a, b in zip(order, order[1:]):
             children[a].append(b)
+        stray = next((p.id for p in points if p.parent is not None), None)
+        if stray is not None:
+            problem = problem or (f"a block's points without parents; "
+                                  f"point {stray} has one")
     else:
         roots = [p.id for p in points if p.parent is None]
         for p in points:
@@ -404,7 +428,12 @@ def _point_structure(shape, points):
             order.append(p)
             stack.extend(reversed(children[p]))
         order.extend(i for i in sorted(ids) if i not in seen)  # orphans, tolerated
-    return order, {k: tuple(v) for k, v in children.items()}
+        if len(roots) != 1:
+            problem = problem or f"a tree with one root; it has {len(roots)}"
+        elif len(seen) < len(ids):
+            problem = problem or (f"every point reached from the root; "
+                                  f"point {min(set(ids) - seen)} is not")
+    return order, {k: tuple(v) for k, v in children.items()}, problem
 
 
 # ---------------------------------------------------------------------
@@ -565,6 +594,16 @@ def pressure(instance, spilled, mode):
     values = tuple((lm & ~s).bit_count() + (cm & s).bit_count()
                    for lm, cm in zip(instance.live_masks, chads))
     return PressureProfile(instance.samples, values, mode)
+
+
+def empty_solution(instance, mode, algorithm, steps=0, feasible=True,
+                   proven=True):
+    """The SpillSolution that spills nothing: feasible at pressure omega,
+    or, when not `feasible`, the report that no spill set reaches the
+    target (cost and pressure None)."""
+    return SpillSolution(frozenset(), Fraction(0) if feasible else None,
+                         instance.omega if feasible else None, algorithm,
+                         steps, mode, feasible, proven)
 
 
 def spill_solution(instance, spilled, profile, algorithm, steps, proven=True):

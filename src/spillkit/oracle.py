@@ -1,9 +1,11 @@
 """Ground-truth solvers: exhaustive search and pruned branch-and-bound.
 
 Both accept every instance shape and both pressure modes; they are the
-reference the polynomial solvers are tested against. Infeasibility (a
-with-holes instance whose chad floor exceeds the target somewhere) is a
-first-class result, not an error.
+reference the polynomial solvers are tested against. Like every solver,
+they refuse an instance that construction records as unsound
+(Instance.problem). Infeasibility (a with-holes instance whose chad
+floor exceeds the target somewhere) is a first-class result, not an
+error.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from math import lcm
 
 from . import kernel
 from .errors import SizeCapError
-from .model import (HOLES, MaskView, SpillSolution, bits, check_mode, pressure,
+from .model import (HOLES, bits, check_mode, empty_solution, pressure,
                     spill_solution)
 
 DEFAULT_CAP = 20
@@ -22,60 +24,56 @@ DEFAULT_NODE_BUDGET = 1_000_000
 
 
 def encode(instance, mode):
-    """The instance's mask view and its kernel rows: (view, live masks,
-    chad masks), bit i standing for the i-th sorted id.
+    """The instance's kernel rows: (live masks, chad masks), bit i
+    standing for the i-th sorted id.
 
     Rows are the sorted, deduplicated (live mask, chad mask) pairs of the
     samples, chad masks 0 without holes; identical pressure constraints
     contribute nothing new to feasibility.
     """
     check_mode(mode)
-    view = MaskView(instance)
-    chad = view.chad() if mode == HOLES else repeat(0)
-    rows = sorted(set(zip(view.live(), chad)))
-    return view, [lm for lm, _ in rows], [cm for _, cm in rows]
-
-
-def _infeasible(instance, mode, algorithm, steps, proven=True):
-    return SpillSolution(
-        spilled=frozenset(), cost=None, achieved_omega=None,
-        algorithm=algorithm, steps=steps, mode=mode,
-        feasible=False, proven_optimal=proven,
-    )
+    chad = instance.chad_masks if mode == HOLES else repeat(0)
+    rows = sorted(set(zip(instance.live_masks, chad)))
+    return [lm for lm, _ in rows], [cm for _, cm in rows]
 
 
 def brute_force(instance, r, mode, cap=DEFAULT_CAP):
     """Exhaustive minimum via the kernel's cost-ordered subset search;
-    `steps` counts the spill subsets it tested."""
+    `steps` counts the spill subsets it tested. Raises MalformedCodeError
+    on an instance that is not sound (Instance.problem)."""
+    instance.require_sound("brute_force")
     n = instance.n_vars
     if n > cap:
         raise SizeCapError(n, cap)
-    view, live, chad = encode(instance, mode)
-    holes = mode == HOLES
-    cost, mask, steps = kernel.sweep(n, view.weights, live, chad, r, holes)
+    live, chad = encode(instance, mode)
+    cost, mask, steps = kernel.sweep(n, instance.int_weights, live, chad, r,
+                                     mode == HOLES)
     if cost is None:
-        return _infeasible(instance, mode, "brute", steps)
-    spilled = view.decode(mask)
+        return empty_solution(instance, mode, "brute", steps, feasible=False)
+    spilled = instance.decode(mask)
     return spill_solution(instance, spilled, pressure(instance, spilled, mode),
                           "brute", steps)
 
 
 def brute_force_all(instance, r, mode, cap=DEFAULT_CAP, all_cap=DEFAULT_ALL_CAP):
     """(optimal solution, every optimal spill set, truncated flag)."""
+    instance.require_sound("brute_force_all")
     n = instance.n_vars
     if n > cap:
         raise SizeCapError(n, cap)
-    view, live, chad = encode(instance, mode)
+    live, chad = encode(instance, mode)
     holes = mode == HOLES
-    cost, mask, steps = kernel.sweep(n, view.weights, live, chad, r, holes)
+    weights = instance.int_weights
+    cost, mask, steps = kernel.sweep(n, weights, live, chad, r, holes)
     if cost is None:
-        return _infeasible(instance, mode, "brute", steps), [], False
-    masks, truncated = kernel.sweep_all(n, view.weights, live, chad, r, holes,
+        return (empty_solution(instance, mode, "brute", steps, feasible=False),
+                [], False)
+    masks, truncated = kernel.sweep_all(n, weights, live, chad, r, holes,
                                         cost, all_cap)
-    spilled = view.decode(mask)
+    spilled = instance.decode(mask)
     best = spill_solution(instance, spilled, pressure(instance, spilled, mode),
                           "brute", steps)
-    return best, [view.decode(m) for m in masks], truncated
+    return best, list(map(instance.decode, masks)), truncated
 
 
 def verify(instance, spilled, r, mode):
@@ -90,16 +88,17 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
     Matches brute_force wherever both run. On node-budget exhaustion the
     best incumbent is returned with proven_optimal=False instead of an
     error (an incumbent may simply not exist yet: feasible=False then).
-    Raises MalformedCodeError when a weight is not > 0.
+    Raises MalformedCodeError on an instance that is not sound.
     """
+    instance.require_sound("branch_and_bound")
     check_mode(mode)
     n = instance.n_vars
 
     # Cheap, high-relief variables first (relief = live and chad-free rows
     # that are over-pressured before any spilling), by weight / relief as
     # the exact integer weight * (lcm / relief).
-    view, live, chad = encode(instance, mode)
-    view.require_positive("branch_and_bound")
+    live, chad = encode(instance, mode)
+    ids, int_weights = instance.var_ids, instance.int_weights
     cover = [0] * n
     for lm, cm in zip(live, chad):
         if lm.bit_count() > r:
@@ -109,15 +108,15 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
 
     def sort_key(i):
         if cover[i] == 0:
-            return (1, 0, view.order[i])
-        return (0, view.weights[i] * (scale // cover[i]), view.order[i])
+            return (1, 0, ids[i])
+        return (0, int_weights[i] * (scale // cover[i]), ids[i])
 
     # bit i of the search stands for variable order[i]; renumbered rows
     # stay distinct and are sorted again, as encode sorts them, by the
     # key live << n | chad
     perm = sorted(range(n), key=sort_key)
-    order = [view.order[i] for i in perm]
-    weights = [view.weights[i] for i in perm]
+    order = [ids[i] for i in perm]
+    weights = [int_weights[i] for i in perm]
     to_new = [0] * n
     for new, old in enumerate(perm):
         to_new[old] = new
@@ -251,7 +250,8 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
         stack.append((idx + 1, spilled | 1 << idx, cost + weights[idx]))
 
     if best_cost is None:
-        return _infeasible(instance, mode, "bnb", steps, proven=not budget_hit)
+        return empty_solution(instance, mode, "bnb", steps, feasible=False,
+                              proven=not budget_hit)
     spilled = frozenset(map(order.__getitem__, bits(best_mask)))
     return spill_solution(instance, spilled, pressure(instance, spilled, mode),
                           "bnb", steps, proven=not budget_hit)

@@ -29,8 +29,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import BudgetExceededError, InfeasibleError, WrongShapeError
-from .model import (HOLES, LINEAR, MaskView, bits, pressure, run_starts,
-                    spill_solution)
+from .model import HOLES, LINEAR, bits, pressure, run_starts, spill_solution
 
 DEFAULT_STATE_BUDGET = 10_000_000
 
@@ -48,24 +47,24 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     The solution's `steps` counts the states popped plus the candidate
     extensions tested.
 
-    Raises MalformedCodeError when a weight is not > 0, and
-    InfeasibleError when no extra set within the cap reaches the target.
-    Its witness is the first sample no state reaches, or None when the
-    instance has no samples.
+    Raises MalformedCodeError on an instance that is not sound
+    (Instance.problem), a weight not > 0 among them, and InfeasibleError
+    when no extra set within the cap reaches the target. Its witness is
+    the first sample no state reaches, or None when the instance has no
+    samples.
     """
+    instance.require_sound("extra_set_dp")
     if instance.shape != LINEAR:
         raise WrongShapeError("extra_set_dp handles linear codes only")
     if not instance.code_backed:
         raise WrongShapeError("extra_set_dp needs a code-backed instance")
     if k < 1:
         raise ValueError("decrement k must be >= 1")
-    view = MaskView(instance)
-    view.require_positive("extra_set_dp")
 
     omega = instance.omega
     r = omega - k
     cap = 2 * (instance.h + k)
-    live, chad = view.live(), view.chad()
+    live, chad = instance.live_masks, instance.chad_masks
     starts = run_starts(list(zip(live, chad)))
     if not starts:
         raise InfeasibleError(
@@ -108,7 +107,7 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
         if work > state_budget:
             raise BudgetExceededError(
                 f"extra-set DP exceeded its budget of {state_budget} "
-                f"candidate sets (cap {cap} over {len(view.order)} variables); "
+                f"candidate sets (cap {cap} over {instance.n_vars} variables); "
                 "use the exact oracle")
         relief = (key & ~cm).bit_count()
         layer = best[nxt]
@@ -116,7 +115,7 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
             ext = extensions.get((nxt, size))
             if ext is None:
                 ext = extensions[(nxt, size)] = [
-                    (t, view.weight(t), (t & ~cm).bit_count())
+                    (t, instance.int_weight(t), (t & ~cm).bit_count())
                     for t in map(sum, combinations(
                         [1 << b for b in bits(new)], size))]
             steps += len(ext)
@@ -143,6 +142,6 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     while entry is not None:
         spilled_mask |= entry[2]
         entry = entry[3]
-    spilled = view.decode(spilled_mask)
+    spilled = instance.decode(spilled_mask)
     return spill_solution(instance, spilled, pressure(instance, spilled, HOLES),
                           "dp-extra", steps)

@@ -15,7 +15,8 @@ from itertools import combinations
 
 from . import oracle
 from .errors import InfeasibleError, SpillkitError
-from .model import HOLES, LINEAR, NOHOLES, TREE, Instance, Instruction, Point
+from .model import (HOLES, LINEAR, NOHOLES, TREE, Instance, Instruction, Point,
+                    empty_solution)
 from .punched import extra_set_dp
 
 X3C = "x3c"
@@ -389,7 +390,8 @@ def solve_certificate(cert: ReductionCertificate):
         try:
             return extra_set_dp(inst, inst.omega - cert.r), "dp-extra"
         except InfeasibleError:
-            return oracle._infeasible(inst, cert.mode, "dp-extra", 0), "dp-extra"
+            return (empty_solution(inst, cert.mode, "dp-extra", feasible=False),
+                    "dp-extra")
     sol = oracle.branch_and_bound(inst, cert.r, cert.mode,
                                   node_budget=50_000_000)
     if not sol.proven_optimal:

@@ -10,14 +10,12 @@ everything spilled, which only shrinks the state families.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import (BudgetExceededError, InfeasibleError, MalformedCodeError,
-                     UnsupportedModeError)
-from .model import (HOLES, NOHOLES, MaskView, SpillSolution, bits,
-                    pressure, spill_solution)
+from .errors import BudgetExceededError, InfeasibleError, UnsupportedModeError
+from .model import (HOLES, NOHOLES, bits, empty_solution, pressure,
+                    spill_solution)
 
 DEFAULT_STATE_BUDGET = 10_000_000
 
@@ -36,19 +34,17 @@ def _sample_children(instance):
 
 
 def _solve_fitting(instance, k, holes, state_budget):
+    what = "fitting_set_dp_holes" if holes else "fitting_set_dp"
+    instance.require_sound(what)
     if k < 0:
         raise ValueError("register count k must be >= 0")
     if holes and not instance.code_backed:
-        raise UnsupportedModeError(
-            "fitting_set_dp_holes needs a code-backed instance (chads)")
+        raise UnsupportedModeError(f"{what} needs a code-backed instance (chads)")
     mode = HOLES if holes else NOHOLES
     algo = "dp-fit-holes" if holes else "dp-fit"
 
-    view = MaskView(instance)
-    view.require_positive("fitting_set_dp_holes" if holes else "fitting_set_dp")
     if instance.omega <= k:
-        return SpillSolution(frozenset(), Fraction(0), instance.omega,
-                             algo, 0, mode=mode)
+        return empty_solution(instance, mode, algo)
 
     if holes:
         for (pt, mom), chads in zip(instance.samples, instance.chad_masks):
@@ -57,10 +53,10 @@ def _solve_fitting(instance, k, holes, state_budget):
                     f"even the full spill leaves pressure {chads.bit_count()} > {k} "
                     f"at point {pt} ({mom} moment)", witness=(pt, mom))
 
-    w = view.weights
+    w = instance.int_weights
     children = _sample_children(instance)
-    live = view.live()
-    chad = view.chad() if holes else None
+    live = instance.live_masks
+    chad = instance.chad_masks
     steps = 0
     work = 0  # candidate fitting sets charged against state_budget
 
@@ -72,16 +68,10 @@ def _solve_fitting(instance, k, holes, state_budget):
         # weight less the shared part, which the parent state counts)
         groups = []
         for c in children[i]:
-            if tables[c] is None:
-                # a child sample must come after its parent; a cycle of
-                # parents or a repeated point id breaks that order
-                raise MalformedCodeError(
-                    f"sample {instance.samples[c]} is not below "
-                    f"{instance.samples[i]}: the points do not form a tree")
             g = {}
             for fc, (cost_c, _) in tables[c].items():
                 key = fc & live[i]
-                extra = cost_c - view.weight(key)
+                extra = cost_c - instance.int_weight(key)
                 cur = g.get(key)
                 if cur is None or extra > cur[1]:
                     g[key] = (fc, extra)
@@ -134,7 +124,7 @@ def _solve_fitting(instance, k, holes, state_budget):
         kept |= f
         for c, fc in tables[i][f][1]:
             stack.append((c, fc))
-    spilled = frozenset(instance.variables) - view.decode(kept)
+    spilled = frozenset(instance.variables) - instance.decode(kept)
     return spill_solution(instance, spilled, pressure(instance, spilled, mode),
                           algo, steps)
 
@@ -146,7 +136,9 @@ def fitting_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     any chordal instance of this toolkit. `state_budget` caps work: the
     candidate fitting sets of every sample are charged against it before
     they are enumerated, and BudgetExceededError is raised past it.
-    Raises MalformedCodeError when a weight is not > 0.
+    Raises MalformedCodeError on an instance that is not sound
+    (Instance.problem): weights not > 0, points that are not one tree, a
+    range that is not connected, or a chad where its variable is not live.
     """
     return _solve_fitting(instance, k, holes=False, state_budget=state_budget)
 
@@ -154,5 +146,5 @@ def fitting_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
 def fitting_set_dp_holes(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     """As fitting_set_dp, under hole semantics (spilled uses/defs still
     occupy a register at their instruction); `state_budget` caps work
-    and weights must be > 0 the same way."""
+    and unsound instances are refused the same way."""
     return _solve_fitting(instance, k, holes=True, state_budget=state_budget)

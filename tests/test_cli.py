@@ -1,6 +1,5 @@
 import io
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -336,10 +335,3 @@ class TestPressure:
     def test_spilled_profile(self, belady_file):
         code, out, _ = cli("pressure", "--spill", "a,b,c", belady_file)
         assert out.strip().splitlines()[-1] == "max 0"
-
-
-class TestBench:
-    def test_step_table(self):
-        code, out, _ = cli("bench")
-        assert code == 0
-        assert re.search(r"dp-cover\s+\d+", out)

@@ -3,7 +3,8 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from spillkit.errors import UnsupportedModeError, WrongShapeError
+from spillkit.errors import (MalformedCodeError, UnsupportedModeError,
+                             WrongShapeError)
 from spillkit.intervals import (
     _flow_solve,
     greedy_furthest,
@@ -18,6 +19,8 @@ from spillkit.model import (
     Instance,
     Instruction,
     Point,
+    pressure,
+    validate,
 )
 from spillkit.oracle import brute_force
 
@@ -210,3 +213,25 @@ class TestIncrementalCover:
             want = brute_force(inst, inst.omega - 1, NOHOLES)
             assert sol.cost == want.cost
             assert sol.steps <= 4 * inst.omega * inst.n_points
+
+
+@pytest.mark.parametrize("others", [{"b": 5, "c": 5}, {"b": 5}],
+                         ids=["b-c", "b"])
+def test_gapped_range_is_refused(others):
+    # a is live at points 1 and 3 but not 2. Solving a's hull spills
+    # {a, c} at cost 6 where brute force finds 5, and without c the cover
+    # DP reports pressure 1 for the target omega - 1 = 0.
+    inst = Instance.from_ranges(LINEAR, [Point(1), Point(2), Point(3)],
+                                {"a": [1, 3], **{v: [2] for v in others}},
+                                {"a": 1, **others})
+    assert [v.detail for v in validate(inst)] == [
+        "interval range is not contiguous"]
+    assert pressure(inst, (), NOHOLES).max_pressure == inst.omega
+    for what, solve in [("weighted_optimal", lambda: weighted_optimal(inst, 1)),
+                        ("incremental_cover_dp",
+                         lambda: incremental_cover_dp(inst)),
+                        ("greedy_furthest", lambda: greedy_furthest(inst, 1))]:
+        with pytest.raises(MalformedCodeError, match=(
+                f"^{what} needs connected live ranges; a is live in two "
+                "separate places$")):
+            solve()

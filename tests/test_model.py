@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spillkit.errors import MalformedCodeError, UnsupportedModeError
+from spillkit.errors import (MalformedCodeError, SpillkitError,
+                             UnsupportedModeError)
+from spillkit.intervals import (greedy_furthest, incremental_cover_dp,
+                                weighted_optimal)
 from spillkit.model import (
     DEF,
     HOLES,
@@ -14,8 +17,8 @@ from spillkit.model import (
     USE,
     Instance,
     Instruction,
-    MaskView,
     Point,
+    interference_graph,
     is_chordal,
     live_ranges,
     perfect_elimination_order,
@@ -23,6 +26,10 @@ from spillkit.model import (
     run_starts,
     validate,
 )
+from spillkit.oracle import (branch_and_bound, brute_force, brute_force_all,
+                             verify)
+from spillkit.punched import extra_set_dp
+from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
 from builders import (random_linear_code, random_tree_code,
                       random_tree_ranges, seeded, within)
@@ -271,6 +278,15 @@ TOLERATED = {
 }
 
 
+# The problem construction records for each tolerated form: the guard
+# is narrower than validate(), and refuses only what solvers cannot trust.
+UNSOUND = {
+    "tree use outside the definition's subtree":
+        "chads where their variable is live; a has one at (2, def)",
+    "orphan point": "every point reached from the root; point 3 is not",
+}
+
+
 @pytest.mark.parametrize("form", sorted(TOLERATED))
 def test_tolerated_malformed_code(form):
     build, live, chads, ranges = TOLERATED[form]
@@ -278,6 +294,103 @@ def test_tolerated_malformed_code(form):
     assert ["".join(sorted(s)) for s in inst.live_at] == live
     assert ["".join(sorted(s)) for s in inst.chads_at] == chads
     assert {v: set(x.range.points) for v, x in inst.variables.items()} == ranges
+    assert inst.problem == UNSOUND.get(form)
+    if inst.problem:
+        assert validate(inst)
+
+
+# Every solver, as (instance, r, mode) -> SpillSolution. dp-cover's target
+# is omega - 1 whatever r is, and dp-extra's is r expressed as omega - k.
+SOLVERS = {
+    "greedy": lambda inst, r, mode: greedy_furthest(inst, r, mode),
+    "flow": lambda inst, r, mode: weighted_optimal(inst, r, mode),
+    "dp-cover": lambda inst, r, mode: incremental_cover_dp(inst, mode),
+    "dp-fit": lambda inst, r, mode: fitting_set_dp(inst, r),
+    "dp-fit-holes": lambda inst, r, mode: fitting_set_dp_holes(inst, r),
+    "dp-extra": lambda inst, r, mode: extra_set_dp(inst, inst.omega - r),
+    "bnb": lambda inst, r, mode: branch_and_bound(inst, r, mode),
+    "brute": lambda inst, r, mode: brute_force(inst, r, mode),
+    "brute-all": lambda inst, r, mode: brute_force_all(inst, r, mode)[0],
+}
+
+
+@pytest.mark.parametrize("mode", [NOHOLES, HOLES])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_every_solver_refuses_a_chad_where_nothing_is_live(name, mode):
+    inst = TOLERATED["tree use outside the definition's subtree"][0]()
+    with pytest.raises(MalformedCodeError, match=(
+            r"needs chads where their variable is live; a has one at "
+            r"\(2, def\)$")):
+        SOLVERS[name](inst, 0, mode)
+
+
+@st.composite
+def _any_instance(draw):
+    """A small instance construction accepts, sound or not: a tolerated
+    form, a code with random uses and defs, or ranges with random gaps,
+    on a block or a tree whose parent links may be broken."""
+    kind = draw(st.sampled_from(["tolerated", "code", "ranges"]))
+    if kind == "tolerated":
+        return TOLERATED[draw(st.sampled_from(sorted(TOLERATED)))][0]()
+    shape = draw(st.sampled_from([LINEAR, TREE]))
+    m = draw(st.integers(1, 5), label="points")
+    if shape == LINEAR:
+        pts = [Point(p) for p in range(1, m + 1)]
+    else:
+        sane = draw(st.booleans(), label="parents form a tree")
+        pts = [Point(1)] + [
+            Point(p, draw(st.integers(1, p - 1) if sane
+                          else st.one_of(st.none(), st.integers(1, m + 1))))
+            for p in range(2, m + 1)]
+    ids = [p.id for p in pts]
+    names = "abcd"[:draw(st.integers(1, 4), label="variables")]
+    weights = {v: draw(st.sampled_from([1, 1, 2, 3, Fraction(1, 2), 0, -1]))
+               for v in names}
+    subsets = st.frozensets(st.sampled_from(names), max_size=2)
+    if kind == "ranges":
+        ranges = {v: draw(st.frozensets(st.sampled_from(ids)), label=v)
+                  for v in names}
+        return Instance.from_ranges(shape, pts, ranges, weights)
+    instrs = [Instruction(p, draw(subsets), draw(subsets))
+              for p in draw(st.lists(st.sampled_from(ids), unique=True))]
+    livein = draw(st.frozensets(st.sampled_from(names)), label="livein")
+    liveout = (draw(st.frozensets(st.sampled_from(names)), label="liveout")
+               if shape == LINEAR else ())
+    return Instance.from_code(shape, pts, instrs, weights, livein=livein,
+                              liveout=liveout)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_instance(), st.data())
+def test_every_entry_ends_in_a_result_or_a_spillkit_error(inst, data):
+    """On any instance construction accepts, every solver and operation
+    returns or raises a SpillkitError, and no solver reports a proven
+    feasible solution above its target. Sound instances are solved."""
+    for call in (lambda: interference_graph(inst), lambda: is_chordal(inst),
+                 lambda: pressure(inst, (), HOLES)):
+        try:
+            call()
+        except SpillkitError:
+            pass
+    r = data.draw(st.integers(0, inst.omega), label="r")
+    for mode in (NOHOLES, HOLES):
+        try:
+            verify(inst, set(inst.variables), r, mode)
+        except SpillkitError:
+            pass
+        for name, solve in SOLVERS.items():
+            target = inst.omega - 1 if name == "dp-cover" else r
+            if target < 0 or (name == "dp-extra" and r == inst.omega):
+                continue  # dp-extra lowers omega by at least one
+            try:
+                sol = solve(inst, r, mode)
+            except MalformedCodeError:
+                assert inst.problem, name
+                continue
+            except SpillkitError:
+                continue
+            if sol.feasible and sol.proven_optimal:
+                assert sol.achieved_omega <= target, (name, mode)
 
 
 @pytest.mark.parametrize("parents", [[None, 2], [None, 3, 2]],
@@ -292,19 +405,18 @@ def test_cyclic_parents_end_and_are_reported(parents):
     assert unreached == {f"point {p}" for p in range(2, len(parents) + 1)}
 
 
-def test_mask_view():
+def test_integer_weights_and_masks():
     inst = linear_code(3, [Instruction(1, frozenset(), frozenset("b")),
                            Instruction(2, frozenset("b"), frozenset("a")),
                            Instruction(3, frozenset("a"), frozenset())],
                        {"a": Fraction(1, 2), "b": Fraction(2, 3)})
-    view = MaskView(inst)
-    assert view.order == ["a", "b"]
-    assert view.scale == 6 and view.weights == [3, 4]
+    assert inst.var_ids == ("a", "b")
+    assert inst.scale == 6 and inst.int_weights == (3, 4)
     # samples (1,use) (1,def) (2,use) (2,def) (3,use) (3,def)
-    assert view.live() == [0, 2, 2, 1, 1, 0]
-    assert view.chad() == [0, 2, 2, 1, 1, 0]
-    assert view.weight(3) == 7 and view.decode(3) == {"a", "b"}
-    assert run_starts(view.live()) == [0, 1, 3, 5]
+    assert inst.live_masks == (0, 2, 2, 1, 1, 0)
+    assert inst.chad_masks == (0, 2, 2, 1, 1, 0)
+    assert inst.int_weight(3) == 7 and inst.decode(3) == {"a", "b"}
+    assert run_starts(inst.live_masks) == [0, 1, 3, 5]
 
     # A tree with holes: preorder 1, 2, 4, 3, and a is live at (1, def),
     # (2, use) and (3, use) but not in the subtree of 2 below its use.
@@ -317,15 +429,12 @@ def test_mask_view():
     assert ["".join(sorted(s)) for s in inst.chads_at] == [
         "", "ab", "a", "c", "bc", "", "a", ""]
     assert inst.spans == {"a": (1, 6), "b": (1, 4), "c": (3, 4)}
-    live = [0, 3, 3, 6, 6, 0, 1, 0]
-    chads = [0, 3, 1, 4, 6, 0, 1, 0]
-    view = MaskView(inst)
-    assert view.scale == 2 and view.weights == [2, 4, 1]
-    assert view.live() == live and view.chad() == chads
-    assert tuple(map(view.decode, live)) == inst.live_at
-    assert tuple(map(view.decode, chads)) == inst.chads_at
-    assert list(inst.live_masks) == live
-    assert list(inst.chad_masks) == chads
+    live = (0, 3, 3, 6, 6, 0, 1, 0)
+    chads = (0, 3, 1, 4, 6, 0, 1, 0)
+    assert inst.scale == 2 and inst.int_weights == (2, 4, 1)
+    assert inst.live_masks == live and inst.chad_masks == chads
+    assert tuple(map(inst.decode, live)) == inst.live_at
+    assert tuple(map(inst.decode, chads)) == inst.chads_at
 
     # The same on seeded codes and ranges.
     rng = seeded(305)
@@ -333,11 +442,10 @@ def test_mask_view():
         for _ in range(20):
             inst = (build(rng, h=2) if build is random_linear_code
                     else build(rng))
-            view = MaskView(inst)
-            assert tuple(map(view.decode, view.live())) == inst.live_at
-            assert tuple(map(view.decode, view.chad())) == inst.chads_at
-            assert [m.bit_count() for m in view.live()] == \
+            assert [m.bit_count() for m in inst.live_masks] == \
                 [len(s) for s in inst.live_at]
+            assert [Fraction(w, inst.scale) for w in inst.int_weights] == \
+                [inst.weight(v) for v in inst.var_ids]
             for v in inst.variables:
                 at = [i for i, s in enumerate(inst.live_at) if v in s]
                 assert inst.spans.get(v) == ((at[0], at[-1]) if at else None)

@@ -201,3 +201,15 @@ def test_points_out_of_tree_order_are_malformed(form):
     for k in ks:
         with pytest.raises(MalformedCodeError):
             fitting_set_dp(inst, k)
+
+
+@pytest.mark.parametrize("solve", [fitting_set_dp, fitting_set_dp_holes])
+def test_gapped_tree_range_is_refused(solve):
+    # the chain 1 <- 2 <- 3 with v0 live at 1 and 3 but not 2: solved as
+    # if v0 were connected, the DP spills nothing and reports pressure 2
+    # at k = 1 as feasible and proven
+    inst = Instance.from_ranges(TREE, [Point(1), Point(2, 1), Point(3, 2)],
+                                {"v0": [1, 3], "v1": [3]}, {"v0": 1, "v1": 3})
+    with pytest.raises(MalformedCodeError,
+                       match="needs connected live ranges; v0 is live"):
+        solve(inst, 1)
