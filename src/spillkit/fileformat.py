@@ -28,11 +28,11 @@ from .model import LINEAR, TREE, Instance, Instruction, Point, validate
 from .reductions import CoverInstance, GraphInstance, X3CInstance
 
 FORMAT_TAG = "spill-v1"
-_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
+_NAMES = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*(?:,[A-Za-z_][A-Za-z0-9_.\-]*)*")
 
 
 def _name(tok, line):
-    if not _NAME.match(tok):
+    if "," in tok or not _NAMES.fullmatch(tok):
         raise ParseError(f"bad identifier {tok!r}", line)
     return tok
 
@@ -50,7 +50,7 @@ def _weight(tok, line):
             num, den = tok.split("/", 1)
             w = Fraction(int(num), int(den))
         else:
-            w = Fraction(int(tok))
+            w = int(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {tok!r}", line) from None
     if w <= 0:
@@ -61,15 +61,16 @@ def _weight(tok, line):
 def _csv(tok, line):
     if tok == "-":
         return []
+    if _NAMES.fullmatch(tok):
+        return tok.split(",")
     return [_name(t, line) for t in tok.split(",") if t != ""]
 
 
 def _records(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        yield lineno, body.split()
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if toks:
+            yield lineno, toks
 
 
 def parse(text):
@@ -79,9 +80,13 @@ def parse(text):
     points = []
     point_lines = {}
     instrs = []
+    instr_lines = []
     livein = None
     liveout = None
-    var_rows = []  # (line, id, weight, span|None, points|None)
+    weights = {}
+    var_lines = {}  # id -> line of its first var record
+    trailers = {}  # id -> (span|None, points|None), if the var has one
+    dup_var = None  # (line, id) of the first repeated var
     seen_format = False
 
     for line, toks in _records(text):
@@ -91,15 +96,7 @@ def parse(text):
                 raise ParseError(f"expected 'format {FORMAT_TAG}' first", line)
             seen_format = True
             continue
-        if rec == "format":
-            raise ParseError("duplicate format record", line)
-        elif rec == "kind":
-            if kind is not None:
-                raise ParseError("duplicate kind record", line)
-            if len(args) != 1 or args[0] not in ("linear", "tree", "ranges"):
-                raise ParseError("kind must be linear, tree or ranges", line)
-            kind = args[0]
-        elif rec == "point":
+        if rec == "point":  # the frequent records first
             if len(args) == 1:
                 pid, parent = _int(args[0], line, "point id"), None
             elif len(args) == 3 and args[1] == "parent":
@@ -114,8 +111,36 @@ def parse(text):
             if len(args) != 5 or args[1] != "uses" or args[3] != "defs":
                 raise ParseError("instr takes: <point> uses <ids|-> defs <ids|->", line)
             at = _int(args[0], line, "point id")
-            instrs.append((line, Instruction(at, frozenset(_csv(args[2], line)),
-                                             frozenset(_csv(args[4], line)))))
+            instrs.append(Instruction(at, frozenset(_csv(args[2], line)),
+                                      frozenset(_csv(args[4], line))))
+            instr_lines.append(line)
+        elif rec == "var":
+            if len(args) < 3 or args[1] != "weight":
+                raise ParseError("var takes: <id> weight <w> [span a..b | points ids]", line)
+            vid = _name(args[0], line)
+            w = _weight(args[2], line)
+            if len(args) > 3:
+                rest, span, pts = args[3:], None, None
+                if rest[0] == "span" and len(rest) == 2:
+                    m = re.match(r"^(-?\d+)\.\.(-?\d+)$", rest[1])
+                    if not m:
+                        raise ParseError(f"bad span {rest[1]!r}", line)
+                    span = (int(m.group(1)), int(m.group(2)))
+                elif rest[0] == "points" and len(rest) == 2:
+                    pts = [_int(t, line, "point id") for t in rest[1].split(",") if t]
+                else:
+                    raise ParseError("var trailer must be 'span a..b' or 'points ids'", line)
+                trailers.setdefault(vid, (span, pts))
+            if vid in weights:
+                dup_var = dup_var or (line, vid)
+            weights.setdefault(vid, w)
+            var_lines.setdefault(vid, line)
+        elif rec == "kind":
+            if kind is not None:
+                raise ParseError("duplicate kind record", line)
+            if len(args) != 1 or args[0] not in ("linear", "tree", "ranges"):
+                raise ParseError("kind must be linear, tree or ranges", line)
+            kind = args[0]
         elif rec == "livein":
             if livein is not None:
                 raise ParseError("duplicate livein record", line)
@@ -128,24 +153,8 @@ def parse(text):
             if len(args) != 1:
                 raise ParseError("liveout takes one id list", line)
             liveout = frozenset(_csv(args[0], line))
-        elif rec == "var":
-            if len(args) < 3 or args[1] != "weight":
-                raise ParseError("var takes: <id> weight <w> [span a..b | points ids]", line)
-            vid = _name(args[0], line)
-            w = _weight(args[2], line)
-            span = pts = None
-            rest = args[3:]
-            if rest:
-                if rest[0] == "span" and len(rest) == 2:
-                    m = re.match(r"^(-?\d+)\.\.(-?\d+)$", rest[1])
-                    if not m:
-                        raise ParseError(f"bad span {rest[1]!r}", line)
-                    span = (int(m.group(1)), int(m.group(2)))
-                elif rest[0] == "points" and len(rest) == 2:
-                    pts = [_int(t, line, "point id") for t in rest[1].split(",") if t]
-                else:
-                    raise ParseError("var trailer must be 'span a..b' or 'points ids'", line)
-            var_rows.append((line, vid, w, span, pts))
+        elif rec == "format":
+            raise ParseError("duplicate format record", line)
         else:
             raise ParseError(f"unknown record kind {rec!r}", line)
 
@@ -155,12 +164,8 @@ def parse(text):
         raise ParseError("missing kind record", 1)
     if not points:
         raise ParseError("instance declares no points", 1)
-
-    seen_vars = set()
-    for line, vid, *_ in var_rows:
-        if vid in seen_vars:
-            raise ParseError(f"duplicate var {vid}", line)
-        seen_vars.add(vid)
+    if dup_var:
+        raise ParseError(f"duplicate var {dup_var[1]}", dup_var[0])
 
     if kind in ("linear", "tree"):
         shape = LINEAR if kind == "linear" else TREE
@@ -169,32 +174,29 @@ def parse(text):
                 if p.parent is not None:
                     raise ParseError("linear points take no parent",
                                      point_lines[p.id])
-        weights = {}
-        for line, vid, w, span, pts in var_rows:
-            if span is not None or pts is not None:
-                raise ParseError("span/points only appear in ranges instances", line)
-            weights[vid] = w
-        inst = Instance.from_code(shape, points, [i for _, i in instrs], weights,
+        if trailers:
+            raise ParseError("span/points only appear in ranges instances",
+                             var_lines[next(iter(trailers))])
+        inst = Instance.from_code(shape, points, instrs, weights,
                                   livein=livein or frozenset(),
                                   liveout=liveout or frozenset())
     else:
         if livein is not None or liveout is not None:
             raise ParseError("ranges instances take no livein/liveout", 1)
         if instrs:
-            raise ParseError("ranges instances take no instructions", instrs[0][0])
+            raise ParseError("ranges instances take no instructions", instr_lines[0])
         # a one-point tree names no parent, but it lists points
         is_tree = (any(p.parent is not None for p in points)
-                   or any(pts is not None for *_, pts in var_rows))
+                   or any(pts is not None for _, pts in trailers.values()))
         shape = TREE if is_tree else LINEAR
-        known = {p.id for p in points}
         ranges = {}
-        weights = {}
-        for line, vid, w, span, pts in var_rows:
+        for vid, line in var_lines.items():
+            span, pts = trailers.get(vid, (None, None))
             if span is not None:
                 if is_tree:
                     raise ParseError("span is for linear ranges; use points", line)
                 lo, hi = span
-                cover = sorted(p for p in known if lo <= p <= hi)
+                cover = sorted(p for p in point_lines if lo <= p <= hi)
                 if not cover:
                     raise ParseError(f"span {lo}..{hi} covers no points", line)
             elif pts is not None:
@@ -202,7 +204,6 @@ def parse(text):
             else:
                 raise ParseError("ranges var needs span or points", line)
             ranges[vid] = cover
-            weights[vid] = w
         inst = Instance.from_ranges(shape, points, ranges, weights)
 
     problems = validate(inst)
@@ -211,15 +212,12 @@ def parse(text):
         # "point N" is N's record in a shape problem and N's instruction
         # in an instr problem; any other subject is a variable
         lines = {"shape": {f"point {p}": ln for p, ln in point_lines.items()},
-                 "instr": {f"point {i.at}": ln for ln, i in instrs},
-                 }.get(v.code, {vid: ln for ln, vid, *_ in var_rows})
+                 "instr": {f"point {i.at}": ln
+                           for i, ln in zip(instrs, instr_lines)},
+                 }.get(v.code, var_lines)
         raise ParseError(f"invalid instance ({len(problems)} problem(s)); "
                          f"first: {v}", lines.get(v.subject, 1))
     return inst
-
-
-def _fmt_weight(w: Fraction):
-    return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
 
 
 def _fmt_csv(ids):
@@ -247,14 +245,14 @@ def serialize(instance) -> str:
         for ins in sorted(instance.instructions, key=lambda i: instance.point_pos[i.at]):
             out.append(f"instr {ins.at} uses {_fmt_csv(ins.uses)} "
                        f"defs {_fmt_csv(ins.defs)}")
-    for vid in sorted(instance.variables):
-        v = instance.variables[vid]
-        row = f"var {vid} weight {_fmt_weight(v.weight)}"
+    for vid in instance.var_ids:
+        row = f"var {vid} weight {instance.weight(vid)}"  # 7/2, or 3
         if not instance.code_backed:
+            pts = instance.ranges[vid]
             if instance.shape == LINEAR:
-                row += f" span {min(v.range.points)}..{max(v.range.points)}"
+                row += f" span {min(pts)}..{max(pts)}"
             else:
-                row += " points " + ",".join(str(p) for p in sorted(v.range.points))
+                row += " points " + ",".join(str(p) for p in sorted(pts))
         out.append(row)
     return "\n".join(out) + "\n"
 

@@ -56,8 +56,8 @@ def greedy_furthest(instance, r, mode=NOHOLES):
 
 
 def _flow_solve(instance, r):
-    """Returns (kept set, flow per variable arc, dijkstra pops); a
-    variable that is never live has no arc and is always kept.
+    """Returns (spilled set, flow per variable arc, dijkstra pops); a
+    variable that is never live has no arc and is never spilled.
 
     A node per segment boundary of the sample chain, a chain arc per
     segment (capacity omega, cost 0) and an arc per live variable over
@@ -146,8 +146,7 @@ def _flow_solve(instance, r):
         want -= push
 
     flows = {v: cap[2 * j + 1] for j, (v, _, _, _) in enumerate(arcs)}
-    kept = set(instance.variables) - {v for v, f in flows.items() if not f}
-    return kept, flows, pops
+    return {v for v, f in flows.items() if not f}, flows, pops
 
 
 def weighted_optimal(instance, r, mode=NOHOLES):
@@ -167,9 +166,8 @@ def weighted_optimal(instance, r, mode=NOHOLES):
     if instance.omega <= r:
         spilled, steps = (), 0
     else:
-        kept, flows, steps = _flow_solve(instance, r)
+        spilled, flows, steps = _flow_solve(instance, r)
         assert all(x in (0, 1) for x in flows.values())
-        spilled = set(instance.variables) - kept
     return spill_solution(instance, spilled, pressure(instance, spilled, NOHOLES),
                           "flow", steps)
 

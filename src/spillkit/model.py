@@ -13,6 +13,7 @@ so a variable born at a point never overlaps one dying there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm
@@ -103,13 +104,14 @@ class Instance:
     """An immutable spill-everywhere instance with precomputed liveness.
 
     Build one with from_code (liveness derived from instructions; the
-    constructor's `ranges` is None) or from_ranges (ranges given). Do not
-    mutate after construction; solvers assume all derived tables (sample
-    order, live and chad masks, spans, integer weights, omega, h) are
-    frozen. Bit i of a mask stands for var_ids[i], the sorted ids;
-    int_weights[i] is its weight times `scale`, the lcm of the weights'
-    denominators; spans[v] is the first and last sample at which v is
-    live (absent if v is never live).
+    constructor's `ranges` is None) or from_ranges (ranges given, kept as
+    `ranges`). Do not mutate after construction; solvers assume all
+    derived tables (sample order, live and chad masks, spans, integer
+    weights, omega, h) are frozen. Bit i of a mask stands for var_ids[i],
+    the sorted ids, and bit_of[var_ids[i]] is i; int_weights[i] is its
+    weight times `scale`, the lcm of the weights' denominators; spans[v]
+    is the first and last sample at which v is live (absent if v is
+    never live). `variables` is decoded on first access.
 
     Construction never raises on malformed input. It records in `problem`
     the first reason the solvers cannot trust the instance, or None: the
@@ -127,43 +129,43 @@ class Instance:
         self.livein = frozenset(livein)
         self.liveout = frozenset(liveout)
 
-        order, children, problem = _point_structure(shape, self.points)
+        # children: point id -> tuple of child ids; unreached: see there
+        order, self.children, self.unreached, problem = _point_structure(
+            shape, self.points)
         self.point_order = order  # point ids, chain order or DFS preorder
-        self.children = children  # point id -> tuple of child ids
-        self.point_pos = {p: i for i, p in enumerate(order)}
+        self.point_pos = pos = {p: i for i, p in enumerate(order)}
         self.parent_of = {p.id: p.parent for p in self.points}
         # Two samples per point, use moment first: (p, USE) is sample
         # 2 * point_pos[p] and (p, DEF) the one after it.
         self.samples = tuple((p, m) for p in order for m in (USE, DEF))
 
-        # a bit flips on at each run's first sample and off after its last
+        self.var_ids = tuple(sorted(weights if ranges is None else ranges))
+        self.bit_of = {v: i for i, v in enumerate(self.var_ids)}
+        ws = [w if type(w) is int else Fraction(w)
+              for w in map(weights.__getitem__, self.var_ids)]
+        self.scale = lcm(*(w.denominator for w in ws))
+        self.int_weights = tuple(w.numerator * (self.scale // w.denominator) for w in ws)
+        self.ranges = ranges and {v: frozenset(ranges[v]) for v in self.var_ids}
+
+        # a run flips its bit on at its first sample and off after its last
         flips = [0] * (len(self.samples) + 1)
+        count = [0] * (len(self.samples) + 1)
         chad = [0] * len(self.samples)
-        kind = "interval" if shape == LINEAR else "subtree"
-        self.variables = {}  # id -> Variable, in sorted id order
-        self.spans = {}
-        for i, (vid, chads, rng, runs) in enumerate(self._derive(weights,
-                                                                 ranges)):
+        spans = self.spans = {}
+        for i, (vid, _, _, chads, _, runs) in enumerate(self._derive()):
             bit = 1 << i
             for a, b in runs:
                 flips[a] ^= bit
                 flips[b + 1] ^= bit
+                count[a] += 1
+                count[b + 1] -= 1
             if runs:
-                self.spans[vid] = (min(runs)[0], max(runs)[1])
-            for p, m in chads:
-                if p in self.point_pos:
-                    chad[2 * self.point_pos[p] + (m == DEF)] |= bit
-            self.variables[vid] = Variable(vid, Fraction(weights[vid]),
-                                           LiveRange(kind, frozenset(rng)),
-                                           frozenset(chads))
-        self.var_ids = tuple(self.variables)
-        ws = [v.weight for v in self.variables.values()]
-        self.scale = lcm(*(w.denominator for w in ws))
-        self.int_weights = tuple(w.numerator * (self.scale // w.denominator)
-                                 for w in ws)
+                spans[vid] = runs[0] if len(runs) == 1 else (min(runs)[0], max(runs)[1])
+            for c in chads:
+                chad[c] |= bit
         self.live_masks = tuple(accumulate(flips[:-1], int.__xor__))
         self.chad_masks = tuple(chad)
-        self.omega = max((m.bit_count() for m in self.live_masks), default=0)
+        self.omega = max(accumulate(count[:-1]), default=0)
         self.h = max((max(len(i.uses), len(i.defs))
                       for i in self.instructions or ()), default=0)
         self.problem = problem or self._unsound_masks()
@@ -188,15 +190,17 @@ class Instance:
         """Build a pure range instance: `ranges` maps id -> iterable of points."""
         return cls(shape, points, weights, ranges=ranges)
 
-    def _derive(self, weights, ranges):
-        """(id, chads, range points, live sample runs) per variable; a run
-        is a (first, last) pair of sample indices, and runs are disjoint."""
+    def _derive(self):
+        """(id, definition or None, uses, chad samples, range points,
+        live sample runs) per variable, in var_ids order; runs are disjoint
+        (first, last) pairs. A block range is None: it is the points of
+        its one run, from the definition (or the block entry for live-in,
+        or the first use) to the last use (or the exit for live-out)."""
         pos = self.point_pos
         if not self.code_backed:
-            for vid in sorted(ranges):
-                rng = frozenset(ranges[vid])
-                yield vid, (), rng, [(2 * pos[p], 2 * pos[p] + 1)
-                                     for p in rng if p in pos]
+            for vid, rng in self.ranges.items():
+                yield vid, None, (), (), rng, [(2 * pos[p], 2 * pos[p] + 1)
+                                               for p in rng if p in pos]
             return
         def_at = {}
         uses_at = {}  # var -> use points, in instruction order
@@ -205,40 +209,34 @@ class Instance:
                 def_at.setdefault(v, ins.at)
             for v in ins.uses:
                 uses_at.setdefault(v, []).append(ins.at)
-        for vid in sorted(weights):
+        block, livein, liveout = self.shape == LINEAR, self.livein, self.liveout
+        for vid in self.var_ids:
             d, uses = def_at.get(vid), uses_at.get(vid, ())
-            chads = {(d, DEF)} if d is not None else set()
-            chads.update((u, USE) for u in uses)
-            yield (vid, chads) + self._liveness(vid, d, uses)
-
-    def _liveness(self, vid, d, uses):
-        """(range points, live sample runs) of one code-backed variable
-        defined at d (or None) and used at `uses`.
-
-        A linear range is one run of samples, from the definition (or the
-        block entry for live-in, or the first use) to the last use (or
-        the block exit for live-out). A tree range is the union of the
-        walks from each use up to the definition (or the root for
-        live-in); each point is walked once, and a walk that leaves the
-        tree or circles keeps only its use, for validate() to report.
-        """
-        pos = self.point_pos
-        if self.shape == LINEAR:
             ups = [2 * pos[u] for u in uses if u in pos]
+            chads = ups + [2 * pos[d] + 1] if d in pos else ups
+            if not block:
+                yield (vid, d, uses, chads) + self._subtree(vid, d, uses)
+                continue
             if d in pos:
-                s0 = 2 * pos[d] + 1
-            elif vid in self.livein and pos:
+                s0 = chads[-1]
+            elif vid in livein and pos:
                 s0 = 0
             elif ups:
                 s0 = min(ups)
             else:
-                return (), ()
-            s1 = (len(self.samples) - 1 if vid in self.liveout
-                  else max(ups) if ups else s0)
-            if s1 < s0:
-                s0, s1 = s1, s0  # malformed code, tolerated for validate()
-            return self.point_order[s0 // 2:s1 // 2 + 1], [(s0, s1)]
+                yield vid, d, uses, chads, None, ()
+                continue
+            s1 = len(self.samples) - 1 if vid in liveout else max(ups) if ups else s0
+            # s1 < s0 is malformed code, tolerated for validate()
+            yield vid, d, uses, chads, None, [(s0, s1) if s0 <= s1 else (s1, s0)]
 
+    def _subtree(self, vid, d, uses):
+        """(range points, live sample runs) of one variable of a tree
+        code, defined at d (or None) and used at `uses`: the union of
+        the walks from each use up to the definition (or the root for
+        live-in); each point is walked once, and a walk that leaves the
+        tree or circles keeps only its use, for validate() to report."""
+        pos = self.point_pos
         if d is not None:
             top = d
         elif vid in self.livein and pos:
@@ -276,6 +274,19 @@ class Instance:
                     runs.append((first, last))
         return rng, runs
 
+    @cached_property
+    def variables(self):
+        """id -> Variable, in var_ids order, decoded on first access."""
+        kind = "interval" if self.shape == LINEAR else "subtree"
+        out = {}
+        for vid, d, uses, _, rng, runs in self._derive():
+            if rng is None:  # a block range: the points of its run
+                rng = [p for a, b in runs for p in self.point_order[a // 2:b // 2 + 1]]
+            chads = {(u, USE) for u in uses} | ({(d, DEF)} if d is not None else set())
+            out[vid] = Variable(vid, self.weight(vid),
+                                LiveRange(kind, frozenset(rng)), frozenset(chads))
+        return out
+
     def _unsound_masks(self):
         """The first problem in the weights and masks of an instance whose
         points form one tree, or None.
@@ -290,7 +301,7 @@ class Instance:
                 return f"weights > 0; {vid} weighs {self.weight(vid)}"
         live = self.live_masks
         if self.shape == LINEAR:
-            ups = (0,) + live[:-1]
+            ups = () if self.code_backed else (0,) + live[:-1]  # code: 1 run
         else:
             ups = []
             for i, p in enumerate(self.point_order):
@@ -322,7 +333,7 @@ class Instance:
 
     @property
     def n_vars(self):
-        return len(self.variables)
+        return len(self.var_ids)
 
     @property
     def n_points(self):
@@ -347,24 +358,29 @@ class Instance:
         return tuple(map(self.decode, self.chad_masks))
 
     def weight(self, vid):
-        return self.variables[vid].weight
+        return Fraction(self.int_weights[self.bit_of[vid]], self.scale)
 
     def cost_of(self, spilled):
-        return sum((self.variables[v].weight for v in spilled), Fraction(0))
+        ws, bit = self.int_weights, self.bit_of
+        return Fraction(sum(ws[bit[v]] for v in spilled), self.scale)
 
     def unweighted(self):
-        weights = {v.weight for v in self.variables.values()}
-        return len(weights) <= 1
+        return len(set(self.int_weights)) <= 1
 
     def declarative_key(self):
-        """Structure used for round-trip equality of parsed instances."""
-        return (
-            self.shape, self.code_backed, self.points,
-            tuple(sorted(self.instructions or (),
-                         key=lambda i: self.point_pos.get(i.at, -1))) if self.code_backed else None,
-            tuple(sorted(self.livein)), tuple(sorted(self.liveout)),
-            tuple(sorted((v.id, v.weight, v.range) for v in self.variables.values())),
-        )
+        """Structure used for round-trip equality of parsed instances: the
+        shape, points, live-in and live-out, weights, and the instructions
+        or the given ranges; computed once."""
+        return self._key
+
+    @cached_property
+    def _key(self):
+        pos = self.point_pos
+        return (self.shape, self.code_backed, self.points,
+                tuple(sorted(self.livein)), tuple(sorted(self.liveout)),
+                self.var_ids, self.int_weights, self.scale,
+                tuple(sorted(self.instructions, key=lambda i: pos.get(i.at, -1)))
+                if self.code_backed else tuple(self.ranges.items()))
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -394,11 +410,12 @@ def run_starts(columns):
 
 
 def _point_structure(shape, points):
-    """(order, child map, problem): a usable point order (chain order or
-    DFS preorder, unreached points last) and child map whatever the
-    points, and the first reason they do not form one tree, or None."""
+    """(order, children, unreached, problem) whatever the points: chain
+    order or DFS preorder, unreached points last; the child map; the points
+    no walk from a root reaches; why they are not one tree, or None."""
     ids = [p.id for p in points]
     children = {p.id: [] for p in points}
+    unreached = frozenset()
     problem = None
     if len(children) < len(ids):
         problem = "unique point ids"
@@ -427,13 +444,14 @@ def _point_structure(shape, points):
             seen.add(p)
             order.append(p)
             stack.extend(reversed(children[p]))
-        order.extend(i for i in sorted(ids) if i not in seen)  # orphans, tolerated
+        unreached = frozenset(ids) - seen
+        order.extend(sorted(unreached))  # orphans, tolerated
         if len(roots) != 1:
             problem = problem or f"a tree with one root; it has {len(roots)}"
-        elif len(seen) < len(ids):
+        elif unreached:
             problem = problem or (f"every point reached from the root; "
-                                  f"point {min(set(ids) - seen)} is not")
-    return order, {k: tuple(v) for k, v in children.items()}, problem
+                                  f"point {min(unreached)} is not")
+    return order, {k: tuple(v) for k, v in children.items()}, unreached, problem
 
 
 # ---------------------------------------------------------------------
@@ -441,14 +459,18 @@ def _point_structure(shape, points):
 # ---------------------------------------------------------------------
 
 def validate(instance):
-    """Check every structural invariant; violations are data, not errors."""
+    """Check every structural invariant; violations are data, not errors.
+    Rules that a `problem` of None settles are not checked again; a sound
+    code with every instruction at a known point decodes no range, as a
+    range is then empty exactly when it has no span."""
     out = []
     bad = lambda code, subj, detail: out.append(Violation(code, subj, detail))
+    sound = instance.problem is None
+    known_pts = instance.point_pos  # every point id
 
-    ids = [p.id for p in instance.points]
-    if not ids:
+    if not instance.points:
         bad("points", "<instance>", "instance has no points")
-    if len(set(ids)) != len(ids):
+    if len(known_pts) != len(instance.points):
         bad("points", "<instance>", "duplicate point ids")
 
     if instance.shape == LINEAR:
@@ -460,80 +482,77 @@ def validate(instance):
         if len(roots) != 1:
             bad("shape", "<instance>",
                 f"tree code needs exactly one root, found {len(roots)}")
-        known = set(ids)
         for p in instance.points:
-            if p.parent is not None and p.parent not in known:
+            if p.parent is not None and p.parent not in known_pts:
                 bad("shape", f"point {p.id}", f"unknown parent {p.parent}")
-        reached = set()
-        stack = [p.id for p in roots]
-        while stack:
-            q = stack.pop()
-            if q not in reached:
-                reached.add(q)
-                stack.extend(instance.children[q])
         for p in instance.points:
-            if p.id not in reached:
+            if p.id in instance.unreached:
                 bad("shape", f"point {p.id}", "not reachable from the root")
     else:
         bad("shape", "<instance>", f"unknown shape {instance.shape!r}")
 
-    known_pts = set(ids)
-    known_vars = set(instance.variables)
-
-    for v in instance.variables.values():
-        if v.weight <= 0:
-            bad("weight", v.id, f"weight {v.weight} is not > 0")
-        if not v.range.points:
-            bad("range", v.id, "empty live range")
-        if not v.range.points <= known_pts:
-            bad("range", v.id, "range mentions unknown points")
-        for (p, m) in v.chads:
-            if p not in v.range.points:
-                bad("chad", v.id, f"chad at point {p} lies outside the range")
-        if v.range.points and v.range.points <= known_pts:
-            if instance.shape == LINEAR:
-                # a derived range is a slice of point_order: contiguous
-                if not instance.code_backed:
-                    idxs = sorted(instance.point_pos[p] for p in v.range.points)
-                    if idxs != list(range(idxs[0], idxs[-1] + 1)):
-                        bad("range", v.id, "interval range is not contiguous")
-            else:
-                if not _connected_subtree(v.range.points, instance.parent_of):
+    if sound and instance.code_backed and all(
+            i.at in known_pts for i in instance.instructions):
+        for vid in instance.var_ids:
+            if vid not in instance.spans:
+                bad("range", vid, "empty live range")
+    else:
+        for v in instance.variables.values():
+            pts = v.range.points
+            if not sound and v.weight <= 0:
+                bad("weight", v.id, f"weight {v.weight} is not > 0")
+            if not pts:
+                bad("range", v.id, "empty live range")
+            if not pts <= known_pts.keys():
+                bad("range", v.id, "range mentions unknown points")
+            for (p, m) in sorted(v.chads):
+                if p not in pts:
+                    bad("chad", v.id, f"chad at point {p} lies outside the range")
+            if sound or not pts or not pts <= known_pts.keys():
+                continue
+            if instance.shape != LINEAR:
+                if len([p for p in pts if instance.parent_of[p] not in pts]) != 1:
                     bad("range", v.id, "subtree range is not connected")
+            elif not instance.code_backed:
+                idxs = sorted(known_pts[p] for p in pts)
+                if idxs != list(range(idxs[0], idxs[-1] + 1)):
+                    bad("range", v.id, "interval range is not contiguous")
 
     if instance.code_backed:
         seen_at = set()
         def_of = {}
+        names = set(instance.var_ids)
+        ordered = lambda ids: sorted(ids) if len(ids) > 1 else ids
         for ins in instance.instructions:
-            if ins.at not in known_pts:
-                bad("instr", f"point {ins.at}", "instruction at unknown point")
+            at, uses, defs = ins.at, ins.uses, ins.defs
+            if at not in known_pts:
+                bad("instr", f"point {at}", "instruction at unknown point")
                 continue
-            if ins.at in seen_at:
-                bad("instr", f"point {ins.at}", "multiple instructions at one point")
-            seen_at.add(ins.at)
-            if ins.uses & ins.defs:
-                bad("instr", f"point {ins.at}",
-                    f"uses and defs overlap: {sorted(ins.uses & ins.defs)}")
-            for v in ins.uses | ins.defs:
-                if v not in known_vars:
-                    bad("instr", f"point {ins.at}", f"undeclared variable {v}")
-            for v in ins.defs:
+            if at in seen_at:
+                bad("instr", f"point {at}", "multiple instructions at one point")
+            seen_at.add(at)
+            if not uses.isdisjoint(defs):
+                bad("instr", f"point {at}",
+                    f"uses and defs overlap: {sorted(uses & defs)}")
+            if not (names.issuperset(uses) and names.issuperset(defs)):
+                for v in sorted((uses | defs) - names):
+                    bad("instr", f"point {at}", f"undeclared variable {v}")
+            for v in ordered(defs):
                 if v in def_of:
-                    bad("ssa", v, f"defined at {def_of[v]} and again at {ins.at}")
+                    bad("ssa", v, f"defined at {def_of[v]} and again at {at}")
                 else:
-                    def_of[v] = ins.at
+                    def_of[v] = at
                 if v in instance.livein:
                     bad("ssa", v, "live-in variable must not be defined")
-        for v in instance.livein | instance.liveout:
-            if v not in known_vars:
-                bad("livein/liveout", v, "undeclared variable")
+        for v in sorted((instance.livein | instance.liveout) - names):
+            bad("livein/liveout", v, "undeclared variable")
         if instance.liveout and instance.shape == TREE:
             bad("liveout", "<instance>", "liveout is only defined for linear codes")
 
         # dominance: every use sits at or below (after) its definition
         for ins in instance.instructions:
-            for v in ins.uses:
-                if v not in known_vars:
+            for v in ordered(ins.uses):
+                if v not in names:
                     continue
                 d = def_of.get(v)
                 if d is None:
@@ -542,7 +561,7 @@ def validate(instance):
                             f"used at {ins.at} but never defined and not live-in")
                     continue
                 if instance.shape == LINEAR:
-                    if instance.point_pos.get(ins.at, -1) <= instance.point_pos.get(d, -1):
+                    if known_pts.get(ins.at, -1) <= known_pts[d]:
                         bad("dominance", v, f"use at {ins.at} precedes definition at {d}")
                 else:
                     if not _dominates(d, ins.at, instance.parent_of):
@@ -552,11 +571,6 @@ def validate(instance):
         if instance.livein or instance.liveout:
             bad("livein/liveout", "<instance>", "range instances take no livein/liveout")
     return out
-
-
-def _connected_subtree(pts, parent_of):
-    tops = [p for p in pts if parent_of.get(p) not in pts]
-    return len(tops) == 1
 
 
 def _dominates(anc, node, parent_of):
@@ -570,26 +584,16 @@ def _dominates(anc, node, parent_of):
     return False
 
 
-def live_ranges(instance):
-    """Mapping variable id -> LiveRange for a validated code-backed instance."""
-    if not instance.code_backed:
-        raise MalformedCodeError("live_ranges needs a code-backed instance")
-    problems = [v for v in validate(instance) if v.code in ("dominance", "ssa")]
-    if problems:
-        raise MalformedCodeError("; ".join(map(str, problems)))
-    return {vid: v.range for vid, v in instance.variables.items()}
-
-
 def pressure(instance, spilled, mode):
     """Per-sample register pressure after spilling `spilled` under `mode`."""
     check_mode(mode)
     spilled = frozenset(spilled)
-    unknown = spilled - set(instance.variables)
+    unknown = spilled.difference(instance.bit_of)
     if unknown:
         raise ValueError(f"unknown spilled variables: {sorted(unknown)}")
     if mode == HOLES and not instance.code_backed:
         raise UnsupportedModeError("hole semantics need a code-backed instance")
-    s = sum(1 << i for i, v in enumerate(instance.var_ids) if v in spilled)
+    s = sum(1 << instance.bit_of[v] for v in spilled)
     chads = instance.chad_masks if mode == HOLES else repeat(0)
     values = tuple((lm & ~s).bit_count() + (cm & s).bit_count()
                    for lm, cm in zip(instance.live_masks, chads))

@@ -124,7 +124,7 @@ def _solve_fitting(instance, k, holes, state_budget):
         kept |= f
         for c, fc in tables[i][f][1]:
             stack.append((c, fc))
-    spilled = frozenset(instance.variables) - instance.decode(kept)
+    spilled = instance.decode((1 << instance.n_vars) - 1 & ~kept)
     return spill_solution(instance, spilled, pressure(instance, spilled, mode),
                           algo, steps)
 

@@ -20,7 +20,6 @@ from spillkit.model import (
     Point,
     interference_graph,
     is_chordal,
-    live_ranges,
     perfect_elimination_order,
     pressure,
     run_starts,
@@ -104,12 +103,12 @@ class TestLiveRanges:
         inst = linear_code(3, [Instruction(1, frozenset(), frozenset({"a"})),
                                Instruction(3, frozenset({"a"}), frozenset())],
                            {"a": 1})
-        assert live_ranges(inst)["a"].points == frozenset({1, 2, 3})
+        assert inst.variables["a"].range.points == frozenset({1, 2, 3})
 
     def test_livein_to_last_use(self):
         inst = linear_code(3, [Instruction(2, frozenset({"b"}), frozenset())],
                            {"b": 1}, livein={"b"})
-        assert live_ranges(inst)["b"].points == frozenset({1, 2})
+        assert inst.variables["b"].range.points == frozenset({1, 2})
 
     def test_tree_union_of_paths(self):
         pts = [Point(1), Point(2, 1), Point(3, 2), Point(4, 2)]
@@ -117,13 +116,13 @@ class TestLiveRanges:
                   Instruction(3, frozenset({"a"}), frozenset()),
                   Instruction(4, frozenset({"a"}), frozenset())]
         inst = Instance.from_code(TREE, pts, instrs, {"a": 1})
-        assert live_ranges(inst)["a"].points == frozenset({1, 2, 3, 4})
+        assert inst.variables["a"].range.points == frozenset({1, 2, 3, 4})
 
     def test_undefined_use_is_malformed(self):
         inst = linear_code(1, [Instruction(1, frozenset({"ghost"}), frozenset())],
                            {"ghost": 1})
-        with pytest.raises(MalformedCodeError):
-            live_ranges(inst)
+        assert [str(v) for v in validate(inst)] == [
+            "[dominance] ghost: used at 1 but never defined and not live-in"]
 
 
 class TestPressure:
