@@ -37,7 +37,6 @@ from .model import (
     Violation,
     interference_graph,
     is_chordal,
-    perfect_elimination_order,
     pressure,
     validate,
 )
@@ -71,8 +70,7 @@ __all__ = [
     "DEF", "HOLES", "LINEAR", "NOHOLES", "TREE", "USE",
     "Instance", "Instruction", "LiveRange", "Point", "PressureProfile",
     "SpillSolution", "Variable", "Violation",
-    "interference_graph", "is_chordal",
-    "perfect_elimination_order", "pressure", "validate",
+    "interference_graph", "is_chordal", "pressure", "validate",
     "branch_and_bound", "brute_force", "brute_force_all", "verify",
     "extra_set_dp",
     "CheckResult", "CoverInstance", "GraphInstance", "MapBackError",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import MalformedCodeError, ParseError
 from .model import LINEAR, TREE, Instance, Instruction, Point, validate
 from .reductions import CoverInstance, GraphInstance, X3CInstance
 
@@ -250,6 +250,12 @@ def serialize(instance) -> str:
         if not instance.code_backed:
             pts = instance.ranges[vid]
             if instance.shape == LINEAR:
+                pos = instance.point_pos  # sorted ids on a block
+                if not (pts and pts <= pos.keys()
+                        and pos[max(pts)] - pos[min(pts)] == len(pts) - 1):
+                    raise MalformedCodeError(
+                        f"span of {vid}: its range is empty or not the "
+                        "block's points between its ends")
                 row += f" span {min(pts)}..{max(pts)}"
             else:
                 row += " points " + ",".join(str(p) for p in sorted(pts))

@@ -635,32 +635,17 @@ def interference_graph(instance):
             for b, v in enumerate(instance.var_ids)}
 
 
-def perfect_elimination_order(adj):
-    """Maximum-cardinality search; returns a PEO or None if not chordal."""
-    order = []
-    weight = {v: 0 for v in adj}
-    remaining = set(adj)
-    while remaining:
-        v = max(sorted(remaining), key=lambda u: weight[u])
-        order.append(v)
-        remaining.discard(v)
-        for u in adj[v]:
-            if u in remaining:
-                weight[u] += 1
-    order.reverse()  # elimination order: earlier vertices eliminated first
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        if not later:
-            continue
-        pivot = min(later, key=pos.get)
-        for u in later:
-            if u != pivot and u not in adj[pivot]:
-                return None
-    return order
-
-
 def is_chordal(instance):
-    """(True, witness elimination order) or (False, None)."""
-    order = perfect_elimination_order(interference_graph(instance))
-    return (order is not None), order
+    """(True, a perfect elimination order of the interference graph), on
+    a sound instance; raises MalformedCodeError on an unsound one.
+
+    Sound ranges are connected subtrees of one tree, so the graph is
+    chordal (Gavril 1974). Samples follow the block or the tree's
+    preorder, so a range's first sample is its top, and a neighbour that
+    starts no later contains that top. Hence the order: the live ranges
+    by first sample, latest first (spans is in var_ids order and the
+    sort is stable), then the never-live variables."""
+    instance.require_sound("is_chordal")
+    spans = instance.spans
+    order = sorted(spans, key=lambda v: spans[v][0], reverse=True)
+    return True, order + [v for v in instance.var_ids if v not in spans]

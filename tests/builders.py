@@ -3,8 +3,12 @@
 import random
 import signal
 from contextlib import contextmanager
+from itertools import combinations
 
-from spillkit.model import LINEAR, TREE, Instance, Instruction, Point, validate
+import networkx as nx
+
+from spillkit.model import (LINEAR, TREE, Instance, Instruction, Point,
+                            interference_graph, is_chordal, validate)
 
 
 def random_linear_ranges(rng, n_max=12, m_max=20, w_max=1):
@@ -161,6 +165,20 @@ def random_linear_code(rng, h, n_max=10, m_max=14, w_max=20,
     assert not validate(inst)
     assert inst.h == h, (inst.h, h)
     return inst
+
+
+def assert_chordal_witness(inst):
+    """is_chordal's witness lists every variable once, and each one's
+    neighbours later in it are pairwise adjacent in the interference
+    graph, which networkx also finds chordal."""
+    adj = interference_graph(inst)
+    ok, order = is_chordal(inst)
+    assert ok and nx.is_chordal(nx.Graph(adj))
+    pos = {v: i for i, v in enumerate(order)}
+    assert sorted(order) == sorted(adj)
+    for v in order:
+        later = [u for u in adj[v] if pos[u] > pos[v]]
+        assert all(b in adj[a] for a, b in combinations(later, 2)), (inst, v)
 
 
 def seeded(seed):

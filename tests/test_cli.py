@@ -289,6 +289,29 @@ var a weight 1
         code, _, err = cli("check", "--solution", jpath, belady_file)
         assert code == 1 and err == "error: --solution needs --target\n"
 
+    def test_solution_needs_the_mode(self, tmp_path):
+        # spilling a passes without holes, but its use at 2 is a chad
+        f = tmp_path / "chad.spill"
+        f.write_text("""format spill-v1
+kind linear
+point 1
+point 2
+livein a,b
+instr 2 uses a,b defs -
+var a weight 1
+var b weight 1
+""")
+        rep = tmp_path / "rep.json"
+        rep.write_text('{"solution": {"spilled": ["a"]}}')
+        args = ("check", "--solution", str(rep), "--target", "r=1")
+        code, out, _ = cli(*args, "--mode", "noholes", str(f))
+        assert code == 0 and "solution-ok" in out
+        code, out, _ = cli(*args, "--mode", "holes", str(f))
+        assert code == 2 and "over-pressure: point 2 use-moment" in out
+        code, out, err = cli(*args, str(f))
+        assert code == 1 and err == "error: --solution needs --mode\n"
+        assert out == ""
+
     def test_report_without_solution(self, belady_file, tmp_path):
         rep = tmp_path / "rep.json"
         rep.write_text('{"solver": {"algo": "greedy"}}')

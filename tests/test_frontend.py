@@ -1,6 +1,7 @@
 """The front end, pinned: what parse, construction and validate() make of
 fixed corpora, digested and compared with known values, and a guard that
-solving through the CLI never decodes Instance.variables. validate()
+solving through the CLI never decodes Instance.variables, nor does
+checking build the interference graph. validate()
 reports the ids of one record in sorted order, so no digest depends on
 the string hash seed."""
 
@@ -10,7 +11,7 @@ import io
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 
-from spillkit import cli, fileformat
+from spillkit import cli, fileformat, model
 from spillkit.errors import ParseError
 from spillkit.model import (LINEAR, TREE, Instance, Instruction, Point,
                             validate)
@@ -189,3 +190,22 @@ def test_solving_never_decodes_the_variables(make, algo, tmp_path,
         assert "variables" not in vars(parsed[-1])
         assert parsed[-1].variables == inst.variables  # decodes on access
         assert "variables" in vars(parsed[-1])
+
+
+def test_check_never_builds_the_interference_graph(tmp_path, monkeypatch):
+    """check reads the elimination order off the spans of what parse
+    built, never off interference_graph."""
+    def refuse(instance):
+        raise AssertionError("check built the interference graph")
+
+    monkeypatch.setattr(model, "interference_graph", refuse)
+    rng = seeded(1110)
+    for _ in range(5):
+        for inst in (random_linear_ranges(rng, w_max=9),
+                     random_linear_block(rng, 30), random_tree_ranges(rng),
+                     random_tree_code(rng), random_linear_code(rng, h=2)):
+            f = tmp_path / "code.spill"
+            f.write_text(fileformat.serialize(inst))
+            out = io.StringIO()
+            assert cli.run(["check", str(f)], out, io.StringIO()) == 0
+            assert out.getvalue().startswith("chordal: yes\n")

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spillkit.errors import (MalformedCodeError, SpillkitError,
+from spillkit.errors import (MalformedCodeError, ParseError, SpillkitError,
                              UnsupportedModeError)
+from spillkit.fileformat import parse, serialize
 from spillkit.intervals import (greedy_furthest, incremental_cover_dp,
                                 weighted_optimal)
 from spillkit.model import (
@@ -20,7 +21,6 @@ from spillkit.model import (
     Point,
     interference_graph,
     is_chordal,
-    perfect_elimination_order,
     pressure,
     run_starts,
     validate,
@@ -30,8 +30,9 @@ from spillkit.oracle import (branch_and_bound, brute_force, brute_force_all,
 from spillkit.punched import extra_set_dp
 from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
-from builders import (random_linear_code, random_tree_code,
-                      random_tree_ranges, seeded, within)
+from builders import (assert_chordal_witness, random_linear_block,
+                      random_linear_code, random_linear_ranges,
+                      random_tree_code, random_tree_ranges, seeded, within)
 
 
 def linear_code(m, instrs, weights, livein=(), liveout=()):
@@ -175,17 +176,22 @@ class TestChordal:
             ok, _ = is_chordal(random_linear_code(rng, h=1))
             assert ok
 
-    def test_four_cycle_is_not_chordal(self):
-        c4 = {"a": {"b", "d"}, "b": {"a", "c"},
-              "c": {"b", "d"}, "d": {"c", "a"}}
-        assert perfect_elimination_order(c4) is None
-
     def test_witness_is_a_peo(self):
         rng = seeded(303)
-        inst = random_tree_code(rng, n_max=8)
-        ok, order = is_chordal(inst)
-        assert ok
-        assert sorted(order) == sorted(inst.variables)
+        for make in (lambda: random_linear_ranges(rng, w_max=9),
+                     lambda: random_linear_block(rng, rng.randint(1, 40)),
+                     lambda: random_tree_ranges(rng),
+                     lambda: random_tree_code(rng),
+                     lambda: random_linear_code(rng, h=rng.choice((1, 2, 3)))):
+            for _ in range(40):
+                assert_chordal_witness(make())
+
+    @pytest.mark.parametrize("name", [
+        "tree use outside the definition's subtree", "orphan point"])
+    def test_unsound_instances_are_refused(self, name):
+        inst = TOLERATED[name][0]()
+        with pytest.raises(MalformedCodeError, match=r"^is_chordal needs "):
+            is_chordal(inst)
 
 
 @settings(max_examples=40, deadline=None)
@@ -390,6 +396,26 @@ def test_every_entry_ends_in_a_result_or_a_spillkit_error(inst, data):
                 continue
             if sol.feasible and sol.proven_optimal:
                 assert sol.achieved_omega <= target, (name, mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_instance())
+@example(Instance.from_ranges(LINEAR, [Point(1), Point(2), Point(3)],
+                              {"a": {1, 3}, "b": {2}}, {"a": 1, "b": 1}))
+@example(Instance.from_ranges(LINEAR, [Point(1)], {"a": ()}, {"a": 1}))
+def test_round_trips_are_sound_or_refused(inst):
+    """serialize refuses an instance or writes text that parse refuses
+    or reads back as the same instance; what parse accepts is sound."""
+    try:
+        text = serialize(inst)
+    except SpillkitError:
+        return
+    try:
+        back = parse(text)
+    except ParseError:
+        return
+    assert back.problem is None
+    assert back == inst
 
 
 @pytest.mark.parametrize("parents", [[None, 2], [None, 3, 2]],
