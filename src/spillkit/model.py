@@ -369,14 +369,15 @@ class Instance:
 
     def declarative_key(self):
         """Structure used for round-trip equality of parsed instances: the
-        shape, points, live-in and live-out, weights, and the instructions
-        or the given ranges; computed once."""
+        shape, points (by id), live-in and live-out, weights, and the
+        instructions or the given ranges; computed once."""
         return self._key
 
     @cached_property
     def _key(self):
         pos = self.point_pos
-        return (self.shape, self.code_backed, self.points,
+        return (self.shape, self.code_backed,
+                tuple(sorted(self.points, key=lambda p: p.id)),
                 tuple(sorted(self.livein)), tuple(sorted(self.liveout)),
                 self.var_ids, self.int_weights, self.scale,
                 tuple(sorted(self.instructions, key=lambda i: pos.get(i.at, -1)))

@@ -1,15 +1,21 @@
 """Fixed-register dynamic programs over the dominance tree.
 
 State at a sample point: the *kept* subset of its live set (a fitting
-set). Bottom-up, each parent state combines, per child, the best child
-state that agrees with it on the variables they share; live ranges are
-connected subtrees, so children's private variables never interact.
-With holes the fitting predicate additionally counts the chads of
-everything spilled, which only shrinks the state families.
+set), an integer mask in a table of kept mask -> kept weight at and
+below the sample. Bottom-up, a sample's states extend its first child's
+best state per shared mask with the variables live at the sample and not
+at that child, and keep those that every further child's best state
+agrees with; live ranges are connected subtrees, so children's private
+variables never interact. A child whose live variables are all live at
+its parent passes its own table up. Equal weights go to fewer variables,
+then to the state holding the lowest variable they differ in. With holes
+the fitting predicate also counts the chads of everything spilled,
+which only shrinks the state families.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -20,17 +26,24 @@ from .model import (HOLES, NOHOLES, bits, empty_solution, pressure,
 DEFAULT_STATE_BUDGET = 10_000_000
 
 
-def _sample_children(instance):
-    """Child lists over sample indices: (p,use)->(p,def)->(c,use)...;
-    (p, USE) is sample 2 * point_pos[p] and (p, DEF) the one after it."""
-    pos = instance.point_pos
-    children = [[] for _ in instance.samples]
-    for p in instance.point_order:
-        u = 2 * pos[p]
-        children[u].append(u + 1)
-        for c in instance.children.get(p, ()):
-            children[u + 1].append(2 * pos[c])
-    return children
+def _first(a, b):
+    """Whether kept mask a precedes b among equal costs: fewer variables,
+    then the one holding the lowest variable they differ in."""
+    na, nb = a.bit_count(), b.bit_count()
+    d = a ^ b
+    return na < nb if na != nb else bool(d & -d & a)
+
+
+def _best(table, mask):
+    """Per shared mask (kept mask & `mask`), the heaviest kept mask of
+    `table`, ties to the _first one, and its cost."""
+    best, top = {}, {}
+    for f, cost in table.items():
+        key = f & mask
+        cur = top.get(key)
+        if cur is None or cost > cur or cost == cur and _first(f, best[key]):
+            best[key], top[key] = f, cost
+    return best, top
 
 
 def _solve_fitting(instance, k, holes, state_budget):
@@ -53,62 +66,61 @@ def _solve_fitting(instance, k, holes, state_budget):
                     f"even the full spill leaves pressure {chads.bit_count()} > {k} "
                     f"at point {pt} ({mom} moment)", witness=(pt, mom))
 
-    w = instance.int_weights
-    children = _sample_children(instance)
+    pos, order = instance.point_pos, instance.point_order
     live = instance.live_masks
-    chad = instance.chad_masks
-    steps = 0
-    work = 0  # candidate fitting sets charged against state_budget
+    weight = cache(instance.int_weight)  # kept mask -> scaled weight
+    charge = [sum(comb(n, size) for size in range(min(k, n) + 1))
+              for n in range(instance.omega + 1)]  # per live-set size
+    steps = work = 0  # work: candidate fitting sets charged to state_budget
 
-    # tables[i]: {kept mask -> (kept weight, backptrs)}; backptrs pair
-    # child sample index with the chosen child state.
+    # tables[i]: {kept mask -> kept weight}; down[i]: per child c, None if c
+    # keeps f & live[c] of i's kept f, else {f & live[c] -> c's kept mask}
     tables = [None] * len(instance.samples)
+    down = [None] * len(instance.samples)
     for i in reversed(range(len(instance.samples))):
-        # per child: shared kept mask -> (best child state, its kept
-        # weight less the shared part, which the parent state counts)
-        groups = []
-        for c in children[i]:
-            g = {}
-            for fc, (cost_c, _) in tables[c].items():
-                key = fc & live[i]
-                extra = cost_c - instance.int_weight(key)
-                cur = g.get(key)
-                if cur is None or extra > cur[1]:
-                    g[key] = (fc, extra)
-            groups.append((c, g))
-
-        table = {}
-        universe = [(1 << b, w[b]) for b in bits(live[i])]
-        sizes = range(min(k, len(universe)) + 1)
-        work += sum(comb(len(universe), size) for size in sizes)
+        work += charge[live[i].bit_count()]
         if work > state_budget:
             raise BudgetExceededError(
                 f"fitting-set DP exceeded its budget of {state_budget} "
                 "candidate sets; use weighted_optimal for linear instances "
                 "or the exact oracle")
-        for size in sizes:
-            for combo in combinations(universe, size):
-                steps += 1
-                f = cost = 0
-                for b, wb in combo:
-                    f |= b
-                    cost += wb
-                if holes and size + (chad[i] & ~f).bit_count() > k:
-                    continue
-                back = []
-                dead = False
-                for c, g in groups:
-                    steps += 1
-                    hit = g.get(f & live[c])
-                    if hit is None:
-                        dead = True
-                        break
-                    fc, extra = hit
-                    cost += extra
-                    back.append((c, fc))
-                if dead:
-                    continue
-                table[f] = (cost, tuple(back))
+        # (p, USE) is sample 2 * pos[p]; its one child is (p, DEF), whose
+        # children are the (c, USE) samples of p's children c
+        kids = ([i + 1] if i % 2 == 0 else
+                [2 * pos[c] for c in instance.children.get(order[i // 2], ())])
+        if kids:
+            # the first child's best state per shared mask (f & live[i]),
+            # or its own table if all its live variables are live at i
+            c = kids[0]
+            best, table = ((None, tables[c]) if not live[c] & ~live[i]
+                           else _best(tables[c], live[i]))
+            new = live[i] & ~live[c]
+            down[i] = [(c, best)]
+        else:
+            table, new, down[i] = {0: 0}, live[i], []
+        if new:  # extend by each set of variables new at i that fits
+            ones = [1 << b for b in bits(new)]
+            wts = [instance.int_weights[m.bit_length() - 1] for m in ones]
+            by_size = [list(zip(map(sum, combinations(ones, s)),
+                                map(sum, combinations(wts, s))))
+                       for s in range(min(k, len(ones)) + 1)]
+            table = {key | g: cost + wg for key, cost in table.items()
+                     for part in by_size[:k + 1 - key.bit_count()]
+                     for g, wg in part}
+        if holes and (ch := instance.chad_masks[i]):
+            table = {f: cost for f, cost in table.items()
+                     if f.bit_count() + (ch & ~f).bit_count() <= k}
+        steps += len(table)
+        for c in kids[1:]:
+            best, top = ((None, tables[c]) if not live[c] & ~live[i]
+                         else _best(tables[c], live[i]))
+            down[i].append((c, best))
+            # add c's kept weight less the shared part, counted already
+            extra = {key: cost - weight(key) for key, cost in top.items()}
+            lc = live[c]
+            steps += len(table)
+            table = {f: cost + e for f, cost in table.items()
+                     if (e := extra.get(f & lc)) is not None}
         if not table:
             pt, mom = instance.samples[i]
             raise InfeasibleError(
@@ -116,14 +128,13 @@ def _solve_fitting(instance, k, holes, state_budget):
                 f"({mom} moment)", witness=(pt, mom))
         tables[i] = table
 
-    root = tables[0]
     kept = 0
-    stack = [(0, max(root, key=lambda f: root[f][0]))]  # first heaviest
+    stack = [(0, _best(tables[0], 0)[0][0])]  # the best state at the root
     while stack:
         i, f = stack.pop()
         kept |= f
-        for c, fc in tables[i][f][1]:
-            stack.append((c, fc))
+        stack.extend((c, f & live[c] if best is None else best[f & live[c]])
+                     for c, best in down[i])
     spilled = instance.decode((1 << instance.n_vars) - 1 & ~kept)
     return spill_solution(instance, spilled, pressure(instance, spilled, mode),
                           algo, steps)
@@ -133,9 +144,12 @@ def fitting_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     """Minimum-weight spill set with Maxlive <= k, without holes.
 
     Works on trees and linear codes alike (a chain is a tree); exact for
-    any chordal instance of this toolkit. `state_budget` caps work: the
-    candidate fitting sets of every sample are charged against it before
-    they are enumerated, and BudgetExceededError is raised past it.
+    any chordal instance of this toolkit. Among optima of equal weight,
+    each sample top-down keeps the state with fewer variables, then the
+    one holding the lowest variable they differ in. `state_budget` caps
+    work: the candidate fitting sets of every sample are charged against
+    it before its states are built, and BudgetExceededError is raised past
+    it. `steps` counts the states built and the child states looked up.
     Raises MalformedCodeError on an instance that is not sound
     (Instance.problem): weights not > 0, points that are not one tree, a
     range that is not connected, or a chad where its variable is not live.

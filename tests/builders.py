@@ -167,6 +167,68 @@ def random_linear_code(rng, h, n_max=10, m_max=14, w_max=20,
     return inst
 
 
+def chain_tree_code(rng, m, wide=False, h=2, depth=6, branch=0.2):
+    """A tree code shaped like the benchmark's: m points, mostly chains
+    (a point hangs below a random earlier one with chance `branch`), and
+    m variables, each defined at a point with at most h defs (the first
+    two live-in at the root) and used at one or two descendants at most
+    `depth` levels down, weights 1-9. A `wide` code gets one instruction
+    with h + 2 uses, so its with-holes targets below h + 2 are infeasible."""
+    parent = {1: None}
+    for p in range(2, m + 1):
+        parent[p] = p - 1 if rng.random() >= branch else rng.randint(1, p - 1)
+    children = {p: [] for p in parent}
+    for p, par in parent.items():
+        if par is not None:
+            children[par].append(p)
+
+    def below(p):
+        out = []
+        frontier = children[p]
+        for _ in range(depth):
+            out.extend(frontier)
+            frontier = [c for q in frontier for c in children[q]]
+        return out
+
+    uses = {p: [] for p in parent}
+    defs = {p: [] for p in parent}
+    weights = {}
+    livein = set()
+    for i in range(m):
+        v = f"v{i}"
+        weights[v] = rng.randint(1, 9)
+        if i < 2:
+            livein.add(v)
+            pool = [1] + below(1)
+        else:
+            top = rng.randint(1, m)
+            if len(defs[top]) >= h:
+                del weights[v]
+                continue
+            defs[top].append(v)
+            pool = below(top)
+        for u in rng.sample(pool, min(len(pool), rng.randint(1, 2))):
+            if len(uses[u]) < h:
+                uses[u].append(v)
+    if wide:
+        p = rng.randint(2, m)
+        above = set(livein)
+        q = parent[p]
+        while q is not None:
+            above.update(defs[q])
+            q = parent[q]
+        above -= set(uses[p])
+        extra = h + 2 - len(uses[p])
+        if len(above) >= extra:
+            uses[p].extend(rng.sample(sorted(above), extra))
+    instrs = [Instruction(p, frozenset(uses[p]), frozenset(defs[p]))
+              for p in parent if uses[p] or defs[p]]
+    inst = Instance.from_code(TREE, [Point(p, q) for p, q in parent.items()],
+                              instrs, weights, livein=livein)
+    assert inst.problem is None
+    return inst
+
+
 def assert_chordal_witness(inst):
     """is_chordal's witness lists every variable once, and each one's
     neighbours later in it are pairwise adjacent in the interference

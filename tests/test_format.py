@@ -121,6 +121,9 @@ instr 2 uses a defs -
 instr 1 uses - defs a
 """
         assert serialize(parse(shuffled)) == serialize(parse(CODE))
+        # points are compared by id, as block order and child order are
+        assert parse(shuffled) == parse(CODE)
+        assert parse(serialize(parse(shuffled))) == parse(shuffled)
 
     def test_generated_instances_roundtrip(self):
         certs = [

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from spillkit.errors import (
     BudgetExceededError,
     InfeasibleError,
     MalformedCodeError,
+    SpillkitError,
     UnsupportedModeError,
 )
 from spillkit.intervals import weighted_optimal
@@ -23,12 +25,21 @@ from spillkit.oracle import brute_force, verify
 from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
 from builders import (
+    chain_tree_code,
+    random_linear_block,
+    random_linear_code,
     random_linear_ranges,
     random_tree_code,
     random_tree_ranges,
     seeded,
     within,
 )
+
+
+def _wide_column():
+    ranges = {f"v{i}": [1, 2] for i in range(40)}
+    return Instance.from_ranges(LINEAR, [Point(1), Point(2)], ranges,
+                                {v: 1 for v in ranges})
 
 
 class TestFittingSetDp:
@@ -85,11 +96,20 @@ class TestFittingSetDp:
     def test_state_budget_caps_work_in_a_wide_column(self):
         # 40 variables live over two points: a column has about 6e11
         # candidate fitting sets of size <= 20, and only few fit a budget
-        ranges = {f"v{i}": [1, 2] for i in range(40)}
-        inst = Instance.from_ranges(LINEAR, [Point(1), Point(2)], ranges,
-                                    {v: 1 for v in ranges})
         with within(1.0), pytest.raises(BudgetExceededError):
-            fitting_set_dp(inst, 20, state_budget=1000)
+            fitting_set_dp(_wide_column(), 20, state_budget=1000)
+
+    def test_state_budget_is_the_exact_charge(self):
+        # at k = 2 each of the 4 samples charges 1 + 40 + 780 candidate
+        # sets, 3,284 in all; a walk over every submask of the column
+        # (2^40 of them) would not end in time
+        inst = _wide_column()
+        with within(1.0):
+            sol = fitting_set_dp(inst, 2)
+        assert sol.proven_optimal and sol.cost == 38
+        assert fitting_set_dp(inst, 2, state_budget=3284) == sol
+        with pytest.raises(BudgetExceededError):
+            fitting_set_dp(inst, 2, state_budget=3283)
 
     def test_negative_k_rejected(self):
         inst = Instance.from_ranges(LINEAR, [Point(1)], {"a": [1]}, {"a": 1})
@@ -213,3 +233,36 @@ def test_gapped_tree_range_is_refused(solve):
     with pytest.raises(MalformedCodeError,
                        match="needs connected live ranges; v0 is live"):
         solve(inst, 1)
+
+
+def _outcome(solve, inst, k):
+    try:
+        sol = solve(inst, k)
+    except SpillkitError as exc:
+        return (type(exc).__name__, getattr(exc, "witness", None))
+    return (str(sol.cost), sorted(sol.spilled), sol.achieved_omega,
+            sol.feasible, sol.proven_optimal)
+
+
+def test_answers_are_pinned():
+    # the optimum each DP picks among ties, and its infeasibility
+    # witnesses, at every k from 0 to omega, as the DP that tried kept
+    # sets in (size, lexicographic) order and kept the first heaviest
+    # found them
+    rng = seeded(27)
+    insts = ([random_tree_code(rng) for _ in range(150)]
+             + [random_tree_ranges(rng) for _ in range(100)]
+             + [random_linear_code(rng, h) for h in (1, 2) for _ in range(30)]
+             + [random_linear_block(rng, 16, mean_len=5) for _ in range(20)]
+             + [chain_tree_code(rng, 100, wide=j % 2 == 0) for j in range(6)])
+    out = []
+    for inst in insts:
+        solves = ((fitting_set_dp, fitting_set_dp_holes) if inst.code_backed
+                  else (fitting_set_dp,))
+        for solve in solves:
+            for k in range(inst.omega + 1):
+                out.append(_outcome(solve, inst, k))
+    assert len(out) == 2273
+    assert sum(o[0] == "InfeasibleError" for o in out) == 414
+    assert (hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+            == "c2bbe367bc6d9aa6")
