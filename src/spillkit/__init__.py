@@ -29,11 +29,9 @@ from .model import (
     USE,
     Instance,
     Instruction,
-    LiveRange,
     Point,
     PressureProfile,
     SpillSolution,
-    Variable,
     Violation,
     interference_graph,
     is_chordal,
@@ -68,8 +66,8 @@ __all__ = [
     "greedy_furthest", "incremental_cover_dp", "weighted_optimal",
     "KERNEL_IMPLEMENTATION",
     "DEF", "HOLES", "LINEAR", "NOHOLES", "TREE", "USE",
-    "Instance", "Instruction", "LiveRange", "Point", "PressureProfile",
-    "SpillSolution", "Variable", "Violation",
+    "Instance", "Instruction", "Point", "PressureProfile",
+    "SpillSolution", "Violation",
     "interference_graph", "is_chordal", "pressure", "validate",
     "branch_and_bound", "brute_force", "brute_force_all", "verify",
     "extra_set_dp",

@@ -14,10 +14,8 @@ from .errors import (
     BudgetExceededError,
     InfeasibleError,
     ParseError,
-    SizeCapError,
     SpillkitError,
     UnsupportedModeError,
-    WrongShapeError,
 )
 from .fileformat import parse, parse_source, serialize
 from .intervals import greedy_furthest, incremental_cover_dp, weighted_optimal
@@ -26,8 +24,6 @@ from .model import (HOLES, LINEAR, NOHOLES, empty_solution, is_chordal,
                     pressure, validate)
 from .punched import extra_set_dp
 from .reductions import (
-    INDEPSET1,
-    INDEPSET2,
     MINCOVER,
     X3C,
     gen_indepset_h1,
@@ -69,7 +65,7 @@ def _resolve_r(form, value, omega):
     return r
 
 
-def _pick_auto(inst, mode, form, r_val):
+def _pick_auto(inst, mode, form):
     """Algorithm-selection matrix: the polynomial algorithm of the regime
     when one exists, branch-and-bound otherwise."""
     if mode == NOHOLES:
@@ -84,7 +80,7 @@ def _pick_auto(inst, mode, form, r_val):
     return "bnb"
 
 
-def _run_algo(algo, inst, mode, form, r_val):
+def _run_algo(algo, inst, mode, r_val):
     if r_val >= inst.omega:
         return empty_solution(inst, mode, algo)
     if algo == "greedy":
@@ -126,18 +122,20 @@ def _fmt_cost(cost):
         f"{f.numerator}/{f.denominator}"
 
 
-def _report(inst, sol, out):
-    yes = lambda b: "yes" if b else "no"
-    budget_hit = not sol.proven_optimal
-    out.write(f"instance: shape={inst.shape} m={inst.n_points} "
-              f"n={inst.n_vars} omega={inst.omega} h={inst.h}\n")
-    spilled = ",".join(sorted(sol.spilled)) if sol.spilled else "-"
-    omega_prime = sol.achieved_omega if sol.achieved_omega is not None else "-"
-    out.write(f"solution: spilled={spilled} cost={_fmt_cost(sol.cost)} "
-              f"omega_prime={omega_prime} feasible={yes(sol.feasible)} "
-              f"proven_optimal={yes(sol.proven_optimal)}\n")
-    out.write(f"solver: algo={sol.algorithm} steps={sol.steps} "
-              f"budget_hit={yes(budget_hit)}\n")
+def _text(value):
+    """A report_json value as the text report shows it."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list):
+        return ",".join(value) if value else "-"
+    return "-" if value is None else str(value)
+
+
+def _report(rep, out):
+    """The text report: one line per section of report_json."""
+    for section, fields in rep.items():
+        out.write(f"{section}: " + " ".join(
+            f"{k}={_text(v)}" for k, v in fields.items()) + "\n")
 
 
 def report_json(inst, sol):
@@ -164,12 +162,13 @@ def _cmd_solve(args, out, err):
     r_val = _resolve_r(form, value, inst.omega)
     algo = args.algo
     if algo == "auto":
-        algo = _pick_auto(inst, mode, form, r_val)
-    sol = _run_algo(algo, inst, mode, form, r_val)  # run() reports errors
-    _report(inst, sol, out)
+        algo = _pick_auto(inst, mode, form)
+    sol = _run_algo(algo, inst, mode, r_val)  # run() reports errors
+    rep = report_json(inst, sol)
+    _report(rep, out)
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(report_json(inst, sol), fh, indent=1, sort_keys=True)
+            json.dump(rep, fh, indent=1, sort_keys=True)
             fh.write("\n")
     if not sol.feasible and sol.proven_optimal:
         return EXIT_INFEASIBLE
@@ -208,18 +207,17 @@ def _cmd_check(args, out, err):
     return EXIT_OK
 
 
-_GEN = {"x3c": (X3C, gen_x3c), "mincover": (MINCOVER, gen_mincover),
-        "indepset2": (INDEPSET2, gen_indepset_h2),
-        "indepset1": (INDEPSET1, gen_indepset_h1)}
+# --reduction -> (the source kind it reads, its generator)
+_GEN = {"x3c": ("x3c", gen_x3c), "mincover": ("mincover", gen_mincover),
+        "indepset2": ("indepset", gen_indepset_h2),
+        "indepset1": ("indepset", gen_indepset_h1)}
 
 
 def _cmd_gen(args, out, err):
     kind, src = parse_source(_read(args.source))
     want, generator = _GEN[args.reduction]
-    src_kind = {X3C: "x3c", MINCOVER: "mincover",
-                INDEPSET2: "indepset", INDEPSET1: "indepset"}[want]
-    if kind != src_kind:
-        raise ParseError(f"--reduction {args.reduction} needs a {src_kind} "
+    if kind != want:
+        raise ParseError(f"--reduction {args.reduction} needs a {want} "
                          f"source, got {kind}")
     cert = generator(src)
     with open(args.out, "w") as fh:
@@ -291,7 +289,7 @@ def build_parser():
 
     gp = sub.add_parser("gen", help="generate a hardness-reduction instance")
     gp.add_argument("--reduction", required=True,
-                    choices=("x3c", "mincover", "indepset2", "indepset1"))
+                    choices=tuple(_GEN))
     gp.add_argument("--out", required=True, help="instance output path")
     gp.add_argument("source")
 
@@ -317,17 +315,13 @@ def run(argv, out=None, err=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args, out, err)
-    except (ParseError, WrongShapeError, UnsupportedModeError, SizeCapError,
-            ValueError, OSError) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except InfeasibleError as exc:
         err.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
     except BudgetExceededError as exc:
         err.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
-    except SpillkitError as exc:
+    except (SpillkitError, ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -51,20 +51,6 @@ class Instruction:
 
 
 @dataclass(frozen=True)
-class LiveRange:
-    kind: str  # "interval" | "subtree"
-    points: frozenset
-
-
-@dataclass(frozen=True)
-class Variable:
-    id: str
-    weight: Fraction
-    range: LiveRange
-    chads: frozenset  # of (point id, USE|DEF)
-
-
-@dataclass(frozen=True)
 class Violation:
     code: str
     subject: str
@@ -111,7 +97,8 @@ class Instance:
     the sorted ids, and bit_of[var_ids[i]] is i; int_weights[i] is its
     weight times `scale`, the lcm of the weights' denominators; spans[v]
     is the first and last sample at which v is live (absent if v is
-    never live). `variables` is decoded on first access.
+    never live). The masks are the instance's only liveness tables;
+    live_at and chads_at decode them on access.
 
     Construction never raises on malformed input. It records in `problem`
     the first reason the solvers cannot trust the instance, or None: the
@@ -273,19 +260,6 @@ class Instance:
                 if first <= last:
                     runs.append((first, last))
         return rng, runs
-
-    @cached_property
-    def variables(self):
-        """id -> Variable, in var_ids order, decoded on first access."""
-        kind = "interval" if self.shape == LINEAR else "subtree"
-        out = {}
-        for vid, d, uses, _, rng, runs in self._derive():
-            if rng is None:  # a block range: the points of its run
-                rng = [p for a, b in runs for p in self.point_order[a // 2:b // 2 + 1]]
-            chads = {(u, USE) for u in uses} | ({(d, DEF)} if d is not None else set())
-            out[vid] = Variable(vid, self.weight(vid),
-                                LiveRange(kind, frozenset(rng)), frozenset(chads))
-        return out
 
     def _unsound_masks(self):
         """The first problem in the weights and masks of an instance whose
@@ -498,26 +472,31 @@ def validate(instance):
             if vid not in instance.spans:
                 bad("range", vid, "empty live range")
     else:
-        for v in instance.variables.values():
-            pts = v.range.points
-            if not sound and v.weight <= 0:
-                bad("weight", v.id, f"weight {v.weight} is not > 0")
+        order = instance.point_order
+        for vid, d, uses, _, pts, runs in instance._derive():
+            if pts is None:  # a block range: the points of its run
+                pts = [p for a, b in runs for p in order[a // 2:b // 2 + 1]]
+            pts = frozenset(pts)
+            w = instance.weight(vid)
+            if not sound and w <= 0:
+                bad("weight", vid, f"weight {w} is not > 0")
             if not pts:
-                bad("range", v.id, "empty live range")
+                bad("range", vid, "empty live range")
             if not pts <= known_pts.keys():
-                bad("range", v.id, "range mentions unknown points")
-            for (p, m) in sorted(v.chads):
+                bad("range", vid, "range mentions unknown points")
+            chads = {(u, USE) for u in uses} | ({(d, DEF)} if d is not None else set())
+            for p, _ in sorted(chads):
                 if p not in pts:
-                    bad("chad", v.id, f"chad at point {p} lies outside the range")
+                    bad("chad", vid, f"chad at point {p} lies outside the range")
             if sound or not pts or not pts <= known_pts.keys():
                 continue
             if instance.shape != LINEAR:
                 if len([p for p in pts if instance.parent_of[p] not in pts]) != 1:
-                    bad("range", v.id, "subtree range is not connected")
+                    bad("range", vid, "subtree range is not connected")
             elif not instance.code_backed:
                 idxs = sorted(known_pts[p] for p in pts)
                 if idxs != list(range(idxs[0], idxs[-1] + 1)):
-                    bad("range", v.id, "interval range is not contiguous")
+                    bad("range", vid, "interval range is not contiguous")
 
     if instance.code_backed:
         seen_at = set()

@@ -58,21 +58,13 @@ def brute_force(instance, r, mode, cap=DEFAULT_CAP):
 def brute_force_all(instance, r, mode, cap=DEFAULT_CAP, all_cap=DEFAULT_ALL_CAP):
     """(optimal solution, every optimal spill set, truncated flag)."""
     instance.require_sound("brute_force_all")
-    n = instance.n_vars
-    if n > cap:
-        raise SizeCapError(n, cap)
+    best = brute_force(instance, r, mode, cap)
+    if not best.feasible:
+        return best, [], False
     live, chad = encode(instance, mode)
-    holes = mode == HOLES
-    weights = instance.int_weights
-    cost, mask, steps = kernel.sweep(n, weights, live, chad, r, holes)
-    if cost is None:
-        return (empty_solution(instance, mode, "brute", steps, feasible=False),
-                [], False)
-    masks, truncated = kernel.sweep_all(n, weights, live, chad, r, holes,
-                                        cost, all_cap)
-    spilled = instance.decode(mask)
-    best = spill_solution(instance, spilled, pressure(instance, spilled, mode),
-                          "brute", steps)
+    masks, truncated = kernel.sweep_all(
+        instance.n_vars, instance.int_weights, live, chad, r, mode == HOLES,
+        int(best.cost * instance.scale), all_cap)
     return best, list(map(instance.decode, masks)), truncated
 
 

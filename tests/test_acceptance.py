@@ -291,7 +291,7 @@ def test_c10_model_invariants_and_roundtrips():
                                       n_max=10, m_max=12)
         else:
             inst = random_tree_code(rng, n_max=10, p_max=10)
-        spilled = {v for v in inst.variables if rng.random() < 0.4}
+        spilled = {v for v in inst.var_ids if rng.random() < 0.4}
         bare = pressure(inst, spilled, NOHOLES).values
         punched = pressure(inst, spilled, HOLES).values
         for lo, hi in zip(bare, punched):

@@ -25,6 +25,16 @@ var b weight 1 span 1..5
 var c weight 1 span 6..10
 """
 
+# two live-in variables used together: their chads keep pressure 2 at 1
+INFEASIBLE = """format spill-v1
+kind linear
+point 1
+livein x,y
+instr 1 uses x,y defs -
+var x weight 1
+var y weight 1
+"""
+
 
 def cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -83,17 +93,29 @@ class TestSolve:
 
     def test_infeasible_exit_code(self, tmp_path):
         f = tmp_path / "inf.spill"
-        f.write_text("""format spill-v1
-kind linear
-point 1
-livein x,y
-instr 1 uses x,y defs -
-var x weight 1
-var y weight 1
-""")
+        f.write_text(INFEASIBLE)
         code, _, err = cli("solve", "--target", "r=1", "--mode", "holes",
                            "--algo", "brute", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("text, argv, code, report", [
+        (BELADY_W.replace("weight 1 span 1..5", "weight 3/2 span 1..5"),
+         ("--target", "r=1", "--mode", "noholes", "--algo", "flow"), 0,
+         "instance: shape=linear m=10 n=3 omega=2 h=0\n"
+         "solution: spilled=b,c cost=5/2 omega_prime=1 feasible=yes "
+         "proven_optimal=yes\n"
+         "solver: algo=flow steps=3 budget_hit=no\n"),
+        (INFEASIBLE, ("--target", "r=1", "--mode", "holes", "--algo", "brute"),
+         2,
+         "instance: shape=linear m=1 n=2 omega=2 h=2\n"
+         "solution: spilled=- cost=- omega_prime=- feasible=no "
+         "proven_optimal=yes\n"
+         "solver: algo=brute steps=1 budget_hit=no\n"),
+    ], ids=["feasible", "infeasible"])
+    def test_text_report_is_pinned(self, text, argv, code, report, tmp_path):
+        f = tmp_path / "code.spill"
+        f.write_text(text)
+        assert cli("solve", *argv, str(f)) == (code, report, "")
 
     def test_usage_errors(self, belady_file):
         code, _, err = cli("solve", "--target", "bogus", "--mode", "noholes",

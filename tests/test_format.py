@@ -48,7 +48,8 @@ class TestParse:
 
     def test_code_backed_ranges_derived(self):
         inst = parse(CODE)
-        assert inst.variables["a"].range.points == fs({1, 2})
+        # samples (1, use) (1, def) (2, use) (2, def)
+        assert inst.live_at == (fs(), fs("a"), fs("a"), fs())
 
     def test_zero_weight_is_semantic_error(self):
         bad = MINIMAL.replace("weight 1", "weight 0")
@@ -62,7 +63,7 @@ class TestParse:
 
     def test_rational_weights(self):
         inst = parse(MINIMAL.replace("weight 1", "weight 7/2"))
-        assert inst.variables["a"].weight == 7 / 2 == 3.5
+        assert inst.weight("a") == 7 / 2 == 3.5
 
     def test_comments_and_blank_lines(self):
         text = "# header\n\n" + MINIMAL.replace("point 1", "point 1 # inline")

@@ -176,7 +176,7 @@ def _simplex_cost(inst, r):
     g.nodes[0]["demand"] = -r
     g.nodes[len(inst.samples)]["demand"] = r
     kept, _ = nx.network_simplex(g)
-    return sum(v.weight for v in inst.variables.values()) + Fraction(kept)
+    return sum(map(inst.weight, inst.var_ids)) + Fraction(kept)
 
 
 class TestIncrementalCover:

@@ -51,6 +51,11 @@ def tree_code(parents, instrs, weights, livein=()):
     return Instance.from_code(TREE, pts, instrs, weights, livein=livein)
 
 
+def spelled(sets):
+    """Per-sample id sets as strings: {"a", "b"} is "ab"."""
+    return ["".join(sorted(s)) for s in sets]
+
+
 class TestValidate:
     def test_minimal_single_point_ok(self):
         inst = linear_code(2, [Instruction(1, frozenset(), frozenset({"a"})),
@@ -104,12 +109,12 @@ class TestLiveRanges:
         inst = linear_code(3, [Instruction(1, frozenset(), frozenset({"a"})),
                                Instruction(3, frozenset({"a"}), frozenset())],
                            {"a": 1})
-        assert inst.variables["a"].range.points == frozenset({1, 2, 3})
+        assert spelled(inst.live_at) == ["", "a", "a", "a", "a", ""]
 
     def test_livein_to_last_use(self):
         inst = linear_code(3, [Instruction(2, frozenset({"b"}), frozenset())],
                            {"b": 1}, livein={"b"})
-        assert inst.variables["b"].range.points == frozenset({1, 2})
+        assert spelled(inst.live_at) == ["b", "b", "b", "", "", ""]
 
     def test_tree_union_of_paths(self):
         pts = [Point(1), Point(2, 1), Point(3, 2), Point(4, 2)]
@@ -117,7 +122,8 @@ class TestLiveRanges:
                   Instruction(3, frozenset({"a"}), frozenset()),
                   Instruction(4, frozenset({"a"}), frozenset())]
         inst = Instance.from_code(TREE, pts, instrs, {"a": 1})
-        assert inst.variables["a"].range.points == frozenset({1, 2, 3, 4})
+        # samples in preorder 1, 2, 3, 4; a is dead below the leaf 3
+        assert spelled(inst.live_at) == ["", "a", "a", "a", "a", "", "a", ""]
 
     def test_undefined_use_is_malformed(self):
         inst = linear_code(1, [Instruction(1, frozenset({"ghost"}), frozenset())],
@@ -200,7 +206,7 @@ def test_hole_pressure_sandwich(seed):
     # |L'(p)| <= l'(p) <= |L'(p)| + h at every sample point
     rng = seeded(seed)
     inst = random_linear_code(rng, h=rng.choice((1, 2, 3)))
-    spilled = {v for v in inst.variables if rng.random() < 0.5}
+    spilled = {v for v in inst.var_ids if rng.random() < 0.5}
     holes = pressure(inst, spilled, HOLES).values
     bare = pressure(inst, spilled, NOHOLES).values
     for lo, hi in zip(bare, holes):
@@ -212,10 +218,10 @@ def test_hole_pressure_sandwich(seed):
 def test_spill_all_leaves_only_chads(seed):
     rng = seeded(seed)
     inst = random_tree_code(rng)
-    prof = pressure(inst, set(inst.variables), HOLES)
+    prof = pressure(inst, set(inst.var_ids), HOLES)
     expected = max((len(c) for c in inst.chads_at), default=0)
     assert prof.max_pressure == expected
-    assert pressure(inst, set(inst.variables), NOHOLES).max_pressure == 0
+    assert pressure(inst, set(inst.var_ids), NOHOLES).max_pressure == 0
 
 
 def test_tree_ranges_stay_connected():
@@ -226,7 +232,7 @@ def test_tree_ranges_stay_connected():
 
 
 # Malformed codes from_code tolerates, so that validate() can report them:
-# (builder, live variables per sample, chad variables per sample, ranges).
+# (builder, live variables per sample, chad variables per sample).
 # Samples run (1, use), (1, def), (2, use), ...; "ab" means {a, b}.
 TOLERATED = {
     # a is used at 2 and defined at 3: its run is swapped, not dropped
@@ -234,52 +240,44 @@ TOLERATED = {
         lambda: linear_code(4, [ins(2, "a"), ins(3, defs="a"), ins(4, "b")],
                             {"a": 1, "b": 1}, livein={"b"}),
         ["b", "b", "ab", "ab", "ab", "ab", "b", ""],
-        ["", "", "a", "", "", "a", "b", ""],
-        {"a": {2, 3}, "b": {1, 2, 3, 4}}),
+        ["", "", "a", "", "", "a", "b", ""]),
     # a is defined at 1 and again at 2, where it is also used
     "use and def at one instruction": (
         lambda: linear_code(4, [ins(1, defs="a"), ins(2, "a", "ab"), ins(4, "b")],
                             {"a": 1, "b": 1}),
         ["", "a", "a", "b", "b", "b", "b", ""],
-        ["", "a", "a", "b", "", "", "b", ""],
-        {"a": {1, 2}, "b": {2, 3, 4}}),
+        ["", "a", "a", "b", "", "", "b", ""]),
     # a is defined at 2 but used at 3 and 4, a sibling's subtree
     "tree use outside the definition's subtree": (
         lambda: tree_code([None, 1, 1, 3], [ins(2, defs="a"), ins(4, "a"),
                                             ins(3, "a")], {"a": 1}),
         ["", "", "", "", "a", "a", "a", ""],
-        ["", "", "", "a", "a", "", "a", ""],
-        {"a": {2, 3, 4}}),
+        ["", "", "", "a", "a", "", "a", ""]),
     # point 3's parent 9 does not exist; a use there stays in the range
     "orphan point": (
         lambda: tree_code([None, 1, 9], [ins(1, defs="a"), ins(3, "a"),
                                          ins(2, "a")], {"a": 1}),
         ["", "a", "a", "", "a", ""],
-        ["", "a", "a", "", "a", ""],
-        {"a": {1, 2, 3}}),
+        ["", "a", "a", "", "a", ""]),
     "linear def-only variable": (
         lambda: linear_code(3, [ins(2, defs="a"), ins(3, "b")],
                             {"a": 1, "b": 1}, livein={"b"}),
         ["b", "b", "b", "ab", "b", ""],
-        ["", "", "", "a", "b", ""],
-        {"a": {2}, "b": {1, 2, 3}}),
+        ["", "", "", "a", "b", ""]),
     "tree def-only variable": (
         lambda: tree_code([None, 1], [ins(2, defs="a")], {"a": 1}),
         ["", "", "", "a"],
-        ["", "", "", "a"],
-        {"a": {2}}),
+        ["", "", "", "a"]),
     "linear live-in variable with no use": (
         lambda: linear_code(3, [ins(2, defs="b")], {"a": 1, "b": 1},
                             livein={"a"}),
         ["a", "", "", "b", "", ""],
-        ["", "", "", "b", "", ""],
-        {"a": {1}, "b": {2}}),
+        ["", "", "", "b", "", ""]),
     "tree live-in variable with no use": (
         lambda: tree_code([None, 1], [ins(2, defs="b")], {"a": 1, "b": 1},
                           livein={"a"}),
         ["a", "", "", "b"],
-        ["", "", "", "b"],
-        {"a": {1}, "b": {2}}),
+        ["", "", "", "b"]),
 }
 
 
@@ -294,11 +292,10 @@ UNSOUND = {
 
 @pytest.mark.parametrize("form", sorted(TOLERATED))
 def test_tolerated_malformed_code(form):
-    build, live, chads, ranges = TOLERATED[form]
+    build, live, chads = TOLERATED[form]
     inst = build()
-    assert ["".join(sorted(s)) for s in inst.live_at] == live
-    assert ["".join(sorted(s)) for s in inst.chads_at] == chads
-    assert {v: set(x.range.points) for v, x in inst.variables.items()} == ranges
+    assert spelled(inst.live_at) == live
+    assert spelled(inst.chads_at) == chads
     assert inst.problem == UNSOUND.get(form)
     if inst.problem:
         assert validate(inst)
@@ -380,7 +377,7 @@ def test_every_entry_ends_in_a_result_or_a_spillkit_error(inst, data):
     r = data.draw(st.integers(0, inst.omega), label="r")
     for mode in (NOHOLES, HOLES):
         try:
-            verify(inst, set(inst.variables), r, mode)
+            verify(inst, set(inst.var_ids), r, mode)
         except SpillkitError:
             pass
         for name, solve in SOLVERS.items():
@@ -418,14 +415,16 @@ def test_round_trips_are_sound_or_refused(inst):
     assert back == inst
 
 
-@pytest.mark.parametrize("parents", [[None, 2], [None, 3, 2]],
-                         ids=["self-parent", "two-cycle"])
-def test_cyclic_parents_end_and_are_reported(parents):
+@pytest.mark.parametrize("parents, live", [
+    ([None, 2], ["", "", "a", "a"]),
+    ([None, 3, 2], ["", "", "a", "", "", ""]),
+], ids=["self-parent", "two-cycle"])
+def test_cyclic_parents_end_and_are_reported(parents, live):
     # a is defined at the root and used on the cycle, whose walk up to
-    # the definition never arrives
+    # the definition never arrives: a is live at its use alone
     with within(1.0):
         inst = tree_code(parents, [ins(1, defs="a"), ins(2, "a")], {"a": 1})
-    assert inst.variables["a"].range.points == {1, 2}
+    assert spelled(inst.live_at) == live
     unreached = {v.subject for v in validate(inst) if v.code == "shape"}
     assert unreached == {f"point {p}" for p in range(2, len(parents) + 1)}
 
@@ -471,6 +470,6 @@ def test_integer_weights_and_masks():
                 [len(s) for s in inst.live_at]
             assert [Fraction(w, inst.scale) for w in inst.int_weights] == \
                 [inst.weight(v) for v in inst.var_ids]
-            for v in inst.variables:
+            for v in inst.var_ids:
                 at = [i for i, s in enumerate(inst.live_at) if v in s]
                 assert inst.spans.get(v) == ((at[0], at[-1]) if at else None)

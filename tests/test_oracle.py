@@ -92,7 +92,7 @@ class TestBruteForce:
             order = list(inst.var_ids)
 
             def cost(mask):
-                return sum(inst.variables[order[i]].weight
+                return sum(inst.weight(order[i])
                            for i in range(inst.n_vars) if mask >> i & 1)
 
             for _, mask in sorted((cost(m), m) for m in range(1 << inst.n_vars)):
@@ -123,7 +123,7 @@ class TestVerify:
         assert bad and all(v > 1 for _, _, v in bad)
 
     def test_full_spill_r0_noholes(self):
-        assert verify(BELADY_W, set(BELADY_W.variables), 0, NOHOLES) == []
+        assert verify(BELADY_W, set(BELADY_W.var_ids), 0, NOHOLES) == []
 
 
 class TestBranchAndBound:

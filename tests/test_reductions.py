@@ -187,7 +187,7 @@ class TestMapBack:
                                    (fs({"e1", "e2", "e3"}),)))
         sol = brute_force(cert.instance, cert.r, cert.mode)
         bloated = sol.__class__(
-            spilled=frozenset(cert.instance.variables), cost=Fraction(99),
+            spilled=frozenset(cert.instance.var_ids), cost=Fraction(99),
             achieved_omega=0, algorithm="fake", steps=0, mode=cert.mode)
         with pytest.raises(MapBackError):
             map_back(cert, bloated)
