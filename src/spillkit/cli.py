@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from functools import cache
 
 from . import oracle
@@ -114,14 +113,6 @@ def _run_algo(algo, inst, mode, r_val):
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _fmt_cost(cost):
-    if cost is None:
-        return "-"
-    f = Fraction(cost)
-    return str(f.numerator) if f.denominator == 1 else \
-        f"{f.numerator}/{f.denominator}"
-
-
 def _text(value):
     """A report_json value as the text report shows it."""
     if isinstance(value, bool):
@@ -143,7 +134,7 @@ def report_json(inst, sol):
         "instance": {"shape": inst.shape, "m": inst.n_points,
                      "n": inst.n_vars, "omega": inst.omega, "h": inst.h},
         "solution": {"spilled": sorted(sol.spilled),
-                     "cost": _fmt_cost(sol.cost) if sol.cost is not None else None,
+                     "cost": None if sol.cost is None else str(sol.cost),
                      "omega_prime": sol.achieved_omega,
                      "feasible": sol.feasible,
                      "proven_optimal": sol.proven_optimal},
@@ -155,15 +146,14 @@ def report_json(inst, sol):
 def _cmd_solve(args, out, err):
     inst = parse(_read(args.file))
     form, value = _parse_target(args.target)
-    mode = HOLES if args.mode == "holes" else NOHOLES
-    if mode == HOLES and not inst.code_backed:
+    if args.mode == HOLES and not inst.code_backed:
         raise UnsupportedModeError(
             "hole semantics need a code-backed instance")
     r_val = _resolve_r(form, value, inst.omega)
     algo = args.algo
     if algo == "auto":
-        algo = _pick_auto(inst, mode, form)
-    sol = _run_algo(algo, inst, mode, r_val)  # run() reports errors
+        algo = _pick_auto(inst, args.mode, form)
+    sol = _run_algo(algo, inst, args.mode, r_val)  # run() reports errors
     rep = report_json(inst, sol)
     _report(rep, out)
     if args.json:
@@ -190,14 +180,15 @@ def _cmd_check(args, out, err):
         with open(args.solution) as fh:
             rep = json.load(fh)
         try:
-            spilled = set(rep["solution"]["spilled"])
+            spilled = rep["solution"]["spilled"]
         except (KeyError, TypeError):
-            raise ValueError(
-                f"{args.solution} has no solution.spilled list") from None
+            spilled = None
+        if not (isinstance(spilled, list)
+                and all(isinstance(v, str) for v in spilled)):
+            raise ValueError(f"{args.solution} has no solution.spilled list")
         form, value = _parse_target(args.target)
-        mode = HOLES if args.mode == "holes" else NOHOLES
         r_val = _resolve_r(form, value, inst.omega)
-        bad = oracle.verify(inst, spilled, r_val, mode)
+        bad = oracle.verify(inst, set(spilled), r_val, args.mode)
         if bad:
             for p, m, val in bad:
                 out.write(f"over-pressure: point {p} {m}-moment "
@@ -243,16 +234,15 @@ def _cert_json(cert):
     else:
         source = {"vertices": list(src.vertices),
                   "edges": [list(e) for e in src.edges], "bound": src.bound}
-    return {"kind": cert.kind, "K": _fmt_cost(cert.K), "r": cert.r,
+    return {"kind": cert.kind, "K": str(cert.K), "r": cert.r,
             "mode": cert.mode, "roles": cert.roles,
             "params": cert.params, "source": source}
 
 
 def _cmd_pressure(args, out, err):
     inst = parse(_read(args.file))
-    mode = HOLES if args.mode == "holes" else NOHOLES
     spilled = set(args.spill.split(",")) - {""} if args.spill else set()
-    prof = pressure(inst, spilled, mode)
+    prof = pressure(inst, spilled, args.mode)
     for (p, m), val in zip(prof.samples, prof.values):
         out.write(f"{p} {m} {val}\n")
     out.write(f"max {prof.max_pressure}\n")
@@ -275,7 +265,7 @@ def build_parser():
     sp = sub.add_parser("solve", help="solve a spill instance")
     sp.add_argument("--target", required=True,
                     help="r=<N> | omega-<k> | few=<k>")
-    sp.add_argument("--mode", required=True, choices=("holes", "noholes"))
+    sp.add_argument("--mode", required=True, choices=(HOLES, NOHOLES))
     sp.add_argument("--algo", default="auto", choices=ALGOS)
     sp.add_argument("--json", help="write a machine-readable report here")
     sp.add_argument("file")
@@ -283,7 +273,7 @@ def build_parser():
     cp = sub.add_parser("check", help="validate an instance, test chordality")
     cp.add_argument("--solution", help="JSON report whose spill set to verify")
     cp.add_argument("--target", help="target for --solution verification")
-    cp.add_argument("--mode", choices=("holes", "noholes"),
+    cp.add_argument("--mode", choices=(HOLES, NOHOLES),
                     help="mode for --solution verification")
     cp.add_argument("file")
 
@@ -294,7 +284,7 @@ def build_parser():
     gp.add_argument("source")
 
     pp = sub.add_parser("pressure", help="print per-sample register pressure")
-    pp.add_argument("--mode", default="noholes", choices=("holes", "noholes"))
+    pp.add_argument("--mode", default=NOHOLES, choices=(HOLES, NOHOLES))
     pp.add_argument("--spill", help="comma-separated spilled variables")
     pp.add_argument("file")
     return ap

@@ -41,13 +41,6 @@ class InfeasibleError(SpillkitError):
 class ParseError(SpillkitError):
     """Instance text is syntactically or semantically invalid."""
 
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f"line {line}"
-            if column is not None:
-                loc += f", column {column}"
-            loc += ": "
-        super().__init__(loc + message)
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-        self.column = column

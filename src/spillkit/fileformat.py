@@ -21,6 +21,7 @@ optimality comparisons stay exact. serialize() emits records sorted
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .errors import MalformedCodeError, ParseError
@@ -190,13 +191,14 @@ def parse(text):
                    or any(pts is not None for _, pts in trailers.values()))
         shape = TREE if is_tree else LINEAR
         ranges = {}
+        ids = sorted(point_lines)
         for vid, line in var_lines.items():
             span, pts = trailers.get(vid, (None, None))
             if span is not None:
                 if is_tree:
                     raise ParseError("span is for linear ranges; use points", line)
                 lo, hi = span
-                cover = sorted(p for p in point_lines if lo <= p <= hi)
+                cover = ids[bisect_left(ids, lo):bisect_right(ids, hi)]
                 if not cover:
                     raise ParseError(f"span {lo}..{hi} covers no points", line)
             elif pts is not None:

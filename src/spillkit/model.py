@@ -105,6 +105,12 @@ class Instance:
     points do not form one tree, a weight is not > 0, a live range is not
     connected along the samples, or a chad lies where its variable is not
     live. Every solver calls require_sound() first.
+
+    The samples form one tree, a chain on a block: up[i] is the sample
+    just above sample i, -1 at the root and where a point's parent is
+    unknown. (p, DEF) sits below (p, USE), and (p, USE) below the def
+    moment of the point before p (block) or of p's parent (tree).
+    Samples are in preorder, so up[i] < i on a sound instance.
     """
 
     def __init__(self, shape, points, weights, ranges=None, instructions=(),
@@ -116,15 +122,17 @@ class Instance:
         self.livein = frozenset(livein)
         self.liveout = frozenset(liveout)
 
-        # children: point id -> tuple of child ids; unreached: see there
-        order, self.children, self.unreached, problem = _point_structure(
-            shape, self.points)
+        order, self.unreached, problem = _point_structure(shape, self.points)
         self.point_order = order  # point ids, chain order or DFS preorder
         self.point_pos = pos = {p: i for i, p in enumerate(order)}
         self.parent_of = {p.id: p.parent for p in self.points}
         # Two samples per point, use moment first: (p, USE) is sample
         # 2 * point_pos[p] and (p, DEF) the one after it.
         self.samples = tuple((p, m) for p in order for m in (USE, DEF))
+        # (q, DEF) is sample 2 * pos[q] + 1, and that is -1 for q unknown
+        self.up = (tuple(range(-1, 2 * len(order) - 1)) if shape == LINEAR
+                   else tuple(u for i, p in enumerate(order) for u in (
+                       2 * pos.get(self.parent_of[p], -1) + 1, 2 * i)))
 
         self.var_ids = tuple(sorted(weights if ranges is None else ranges))
         self.bit_of = {v: i for i, v in enumerate(self.var_ids)}
@@ -266,22 +274,16 @@ class Instance:
         points form one tree, or None.
 
         A range is connected along the sample tree iff it has one top: a
-        sample where the variable is live but not at the parent sample
-        (the previous sample on a block; on a tree the previous one for a
-        def moment, and the parent point's def moment for a use moment).
+        sample where the variable is live but not at the sample above it,
+        up[i] (nothing is live above the root). A code-backed block is
+        not checked: construction gives each of its variables one run.
         """
         for vid, w in zip(self.var_ids, self.int_weights):
             if w <= 0:
                 return f"weights > 0; {vid} weighs {self.weight(vid)}"
         live = self.live_masks
-        if self.shape == LINEAR:
-            ups = () if self.code_backed else (0,) + live[:-1]  # code: 1 run
-        else:
-            ups = []
-            for i, p in enumerate(self.point_order):
-                q = self.parent_of[p]
-                ups += (0 if q is None else live[2 * self.point_pos[q] + 1],
-                        live[2 * i])
+        ups = (() if self.code_backed and self.shape == LINEAR
+               else map((live + (0,)).__getitem__, self.up))  # [-1] is 0
         seen = 0  # variables whose top has been passed
         for lm, up in zip(live, ups):
             tops = (lm ^ up) & lm  # xor, not & ~up: ints stay positive
@@ -385,25 +387,21 @@ def run_starts(columns):
 
 
 def _point_structure(shape, points):
-    """(order, children, unreached, problem) whatever the points: chain
-    order or DFS preorder, unreached points last; the child map; the points
+    """(order, unreached, problem) whatever the points: chain order or
+    DFS preorder with children by id, unreached points last; the points
     no walk from a root reaches; why they are not one tree, or None."""
     ids = [p.id for p in points]
-    children = {p.id: [] for p in points}
     unreached = frozenset()
-    problem = None
-    if len(children) < len(ids):
-        problem = "unique point ids"
+    problem = "unique point ids" if len(set(ids)) < len(ids) else None
     if shape == LINEAR:
         order = sorted(ids)
-        for a, b in zip(order, order[1:]):
-            children[a].append(b)
         stray = next((p.id for p in points if p.parent is not None), None)
         if stray is not None:
             problem = problem or (f"a block's points without parents; "
                                   f"point {stray} has one")
     else:
         roots = [p.id for p in points if p.parent is None]
+        children = {p: [] for p in ids}
         for p in points:
             if p.parent is not None and p.parent in children:
                 children[p.parent].append(p.id)
@@ -426,7 +424,7 @@ def _point_structure(shape, points):
         elif unreached:
             problem = problem or (f"every point reached from the root; "
                                   f"point {min(unreached)} is not")
-    return order, {k: tuple(v) for k, v in children.items()}, unreached, problem
+    return order, unreached, problem
 
 
 # ---------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Fixed-register dynamic programs over the dominance tree.
 
-State at a sample point: the *kept* subset of its live set (a fitting
-set), an integer mask in a table of kept mask -> kept weight at and
-below the sample. Bottom-up, a sample's states extend its first child's
-best state per shared mask with the variables live at the sample and not
-at that child, and keep those that every further child's best state
-agrees with; live ranges are connected subtrees, so children's private
-variables never interact. A child whose live variables are all live at
-its parent passes its own table up. Equal weights go to fewer variables,
-then to the state holding the lowest variable they differ in. With holes
-the fitting predicate also counts the chads of everything spilled,
-which only shrinks the state families.
+The DPs run on the tree of samples that Instance.up gives (a block's
+samples form a chain). State at a sample: the *kept* subset of its live
+set (a fitting set), an integer mask in a table of kept mask -> kept
+weight at and below the sample. Bottom-up, a sample's states extend its
+first child's best state per shared mask with the variables live at the
+sample and not at that child, and keep those that every further child's
+best state agrees with; live ranges are connected subtrees, so
+children's private variables never interact. A child whose live
+variables are all live at its parent passes its own table up. Equal
+weights go to fewer variables, then to the state holding the lowest
+variable they differ in. With holes the fitting predicate also counts
+the chads of everything spilled, which only shrinks the state families.
 """
 
 from __future__ import annotations
@@ -66,8 +67,10 @@ def _solve_fitting(instance, k, holes, state_budget):
                     f"even the full spill leaves pressure {chads.bit_count()} > {k} "
                     f"at point {pt} ({mom} moment)", witness=(pt, mom))
 
-    pos, order = instance.point_pos, instance.point_order
     live = instance.live_masks
+    below = [[] for _ in live]  # per sample, the samples just below it
+    for i, u in enumerate(instance.up[1:], 1):  # sample 0 is the root
+        below[u].append(i)
     weight = cache(instance.int_weight)  # kept mask -> scaled weight
     charge = [sum(comb(n, size) for size in range(min(k, n) + 1))
               for n in range(instance.omega + 1)]  # per live-set size
@@ -84,10 +87,7 @@ def _solve_fitting(instance, k, holes, state_budget):
                 f"fitting-set DP exceeded its budget of {state_budget} "
                 "candidate sets; use weighted_optimal for linear instances "
                 "or the exact oracle")
-        # (p, USE) is sample 2 * pos[p]; its one child is (p, DEF), whose
-        # children are the (c, USE) samples of p's children c
-        kids = ([i + 1] if i % 2 == 0 else
-                [2 * pos[c] for c in instance.children.get(order[i // 2], ())])
+        kids = below[i]
         if kids:
             # the first child's best state per shared mask (f & live[i]),
             # or its own table if all its live variables are live at i

@@ -11,7 +11,6 @@ criterion 11 sees the same cases whichever tests ran before it.
 import hashlib
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from functools import lru_cache
 
 from spillkit.errors import InfeasibleError

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from spillkit.cli import ALGOS, run
-from spillkit.fileformat import parse, serialize
+from spillkit.fileformat import parse
 from spillkit.reductions import GraphInstance, gen_indepset_h1
 
 BELADY_W = """format spill-v1
@@ -340,6 +340,25 @@ var b weight 1
         code, _, err = cli("check", "--solution", str(rep), "--target", "r=1",
                            "--mode", "noholes", belady_file)
         assert code == 1
+        assert err == f"error: {rep} has no solution.spilled list\n"
+
+    @pytest.mark.parametrize("spilled", ['"ab"', '{"a": 1, "b": 1}'],
+                             ids=["string", "dict"])
+    def test_spilled_must_be_a_list(self, tmp_path, spilled):
+        # spilling a and b would pass at r=0; a string or a dict is not
+        # read as that list
+        f = tmp_path / "two.spill"
+        f.write_text("format spill-v1\nkind linear\npoint 1\npoint 2\n"
+                     "instr 1 uses - defs a,b\ninstr 2 uses a,b defs -\n"
+                     "var a weight 1\nvar b weight 1\n")
+        rep = tmp_path / "rep.json"
+        args = ("check", "--solution", str(rep), "--target", "r=0",
+                "--mode", "noholes", str(f))
+        rep.write_text('{"solution": {"spilled": ["a", "b"]}}')
+        assert cli(*args)[0] == 0
+        rep.write_text('{"solution": {"spilled": %s}}' % spilled)
+        code, out, err = cli(*args)
+        assert code == 1 and "solution-ok" not in out
         assert err == f"error: {rep} has no solution.spilled list\n"
 
 

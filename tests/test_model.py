@@ -30,9 +30,10 @@ from spillkit.oracle import (branch_and_bound, brute_force, brute_force_all,
 from spillkit.punched import extra_set_dp
 from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
-from builders import (assert_chordal_witness, random_linear_block,
-                      random_linear_code, random_linear_ranges,
-                      random_tree_code, random_tree_ranges, seeded, within)
+from builders import (assert_chordal_witness, chain_tree_code,
+                      random_linear_block, random_linear_code,
+                      random_linear_ranges, random_tree_code,
+                      random_tree_ranges, seeded, within)
 
 
 def linear_code(m, instrs, weights, livein=(), liveout=()):
@@ -299,6 +300,35 @@ def test_tolerated_malformed_code(form):
     assert inst.problem == UNSOUND.get(form)
     if inst.problem:
         assert validate(inst)
+
+
+def test_up_is_the_sample_tree():
+    """up[i] is the sample just above sample i: a def moment's own use
+    moment, then the previous point's def moment on a block, the parent
+    point's on a tree; -1 at the root and where the parent is unknown."""
+    rng = seeded(1507)
+    insts = [TOLERATED[form][0]() for form in sorted(TOLERATED)]
+    for _ in range(15):
+        insts += [random_linear_ranges(rng, w_max=9), random_tree_ranges(rng),
+                  random_tree_code(rng), random_linear_code(rng, h=2)]
+    insts += [random_linear_block(rng, 60), chain_tree_code(rng, 40)]
+    orphans = 0
+    for inst in insts:
+        up, samples = inst.up, inst.samples
+        assert len(up) == len(samples)
+        assert up[1::2] == tuple(range(0, len(up), 2))
+        if inst.shape == LINEAR:
+            assert up[::2] == tuple(range(-1, len(up) - 1, 2))
+            continue
+        for k in range(0, len(up), 2):
+            q = inst.parent_of[samples[k][0]]
+            if q is None or q not in inst.point_pos:
+                assert up[k] == -1
+                orphans += q is not None
+            else:
+                assert samples[up[k]] == (q, DEF)
+    assert orphans == 1  # point 3 of the orphan form
+    assert Instance.from_code(LINEAR, [], [], {}).up == ()
 
 
 # Every solver, as (instance, r, mode) -> SpillSolution. dp-cover's target

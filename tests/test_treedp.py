@@ -266,3 +266,22 @@ def test_answers_are_pinned():
     assert sum(o[0] == "InfeasibleError" for o in out) == 414
     assert (hashlib.sha256(repr(out).encode()).hexdigest()[:16]
             == "c2bbe367bc6d9aa6")
+
+
+def test_steps_are_pinned():
+    # steps depend on which child a sample's states are built from, so
+    # this pins the child order: ascending samples, children by point id
+    rng = seeded(28)
+    insts = ([random_tree_code(rng) for _ in range(60)]
+             + [chain_tree_code(rng, 80, wide=j % 2 == 0) for j in range(4)])
+    out = []
+    for inst in insts:
+        for solve in (fitting_set_dp, fitting_set_dp_holes):
+            for k in range(inst.omega + 1):
+                try:
+                    out.append(solve(inst, k).steps)
+                except InfeasibleError:
+                    pass
+    assert len(out) == 314
+    assert (hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+            == "19662f8bc418f592")
