@@ -27,6 +27,7 @@ from spillkit.model import (
     NOHOLES,
     Instance,
     Point,
+    empty_solution,
     is_chordal,
     pressure,
 )
@@ -97,13 +98,18 @@ def _c6_optima():
 
 @lru_cache(maxsize=None)
 def _c7_optima():
-    """(h, linear code, k, brute_force_all with holes at r = omega - k)."""
+    """(h, linear code, k, brute_force_all with holes at r = omega - k);
+    where omega < k no spill set reaches the target, which the oracle
+    refuses as a negative register count."""
     rng = seeded(107)
     codes = []
     for h in (1, 2):
         codes.extend((h, random_linear_code(rng, h, n_max=10, m_max=14))
                      for _ in range(100))
-    return tuple((h, inst, k, brute_force_all(inst, inst.omega - k, HOLES))
+    return tuple((h, inst, k, brute_force_all(inst, inst.omega - k, HOLES)
+                  if inst.omega >= k else
+                  (empty_solution(inst, HOLES, "brute", feasible=False), [],
+                   False))
                  for h, inst in codes for k in (1, 2))
 
 
@@ -336,7 +342,7 @@ def _brute_registry():
     cases += [(inst, k, HOLES, s.feasible, s.cost)
               for inst, k, s in _c6_optima()]
     cases += [(inst, inst.omega - k, HOLES, s.feasible, s.cost)
-              for _, inst, k, (s, _, _) in _c7_optima()]
+              for _, inst, k, (s, _, _) in _c7_optima() if inst.omega >= k]
     c8 = [(res, cert) for _, res, cert in _c8_x3c()]
     c8 += [(res, cert) for _, res, cert in _c8_cover()]
     c8 += [checked for _, *pair in _c8_graphs() for checked in pair]

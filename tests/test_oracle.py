@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from spillkit.reductions import (
     gen_indepset_h2,
     gen_x3c,
 )
+from spillkit.sweeps import x3c_sources
 from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
 from builders import (
@@ -164,7 +167,8 @@ class TestBranchAndBound:
         weights = {f"v{i}": rng.randint(1, 9) for i in range(n)}
         if shape == "wide":
             # all live together: spilling the n - r cheapest is optimal,
-            # and the bound prunes each keep child at once
+            # the r heaviest are dominated and kept before the search, and
+            # each keep child dies at once for want of relief
             inst = ranges_inst({v: range(1, 3) for v in weights}, weights)
             sol = branch_and_bound(inst, 10, NOHOLES)
             assert sol.proven_optimal
@@ -183,6 +187,65 @@ class TestBranchAndBound:
             r = rng.randint(0, inst.omega)
             assert branch_and_bound(inst, r, NOHOLES).cost == \
                 brute_force(inst, r, NOHOLES).cost
+
+    def test_matches_brute_on_cloned_variables(self):
+        # clones relieve exactly where their original does, so most of
+        # them are dominated and decided as kept before the search
+        rng = seeded(7)
+        seen = set()
+        for k in range(150):
+            if k % 2:
+                base = random_linear_code(rng, h=rng.choice((1, 2)), n_max=5,
+                                          m_max=8)
+            else:
+                base = random_tree_code(rng, n_max=5, p_max=8)
+            inst = _cloned(rng, base)
+            mode = rng.choice((NOHOLES, HOLES))
+            r = rng.randint(0, inst.omega)
+            bt = brute_force(inst, r, mode)
+            bb = branch_and_bound(inst, r, mode)
+            assert bb.proven_optimal
+            assert bb.feasible == bt.feasible
+            if bt.feasible:
+                assert bb.cost == bt.cost
+                assert verify(inst, bb.spilled, r, mode) == []
+            seen.add((mode, bt.feasible))
+        assert seen == {(NOHOLES, True), (HOLES, True), (HOLES, False)}
+
+    def test_x3c_checks_in_few_nodes(self):
+        # the fillers of a covered element are dominated by its triples,
+        # so the search branches over the triples alone; the optima are
+        # pinned as the search without dominance found them
+        nodes = []
+        costs = []
+        for x in x3c_sources(9, 5):
+            cert = gen_x3c(x)
+            sol = branch_and_bound(cert.instance, cert.r, cert.mode)
+            assert sol.proven_optimal
+            nodes.append(sol.steps)
+            costs.append(str(sol.cost))
+        assert len(nodes) == 500
+        assert max(nodes) <= 100 and sum(nodes) <= 20_000
+        assert (hashlib.sha256(repr(costs).encode()).hexdigest()[:16]
+                == "ee862be7f025e329")
+
+
+def _cloned(rng, inst, w_max=9):
+    """inst's code with each variable cloned 1-3 times: the clones are
+    defined, used, live-in and live-out wherever their original is, and
+    every copy gets a random weight."""
+    copies = {v: [v] + [f"{v}c{k}" for k in range(rng.randint(1, 3))]
+              for v in inst.var_ids}
+
+    def grow(vs):
+        return frozenset(c for v in vs for c in copies[v])
+
+    return Instance.from_code(
+        inst.shape, inst.points,
+        [Instruction(i.at, grow(i.uses), grow(i.defs))
+         for i in inst.instructions],
+        {c: rng.randint(1, w_max) for cs in copies.values() for c in cs},
+        livein=grow(inst.livein), liveout=grow(inst.liveout))
 
 
 def _pinned_cases():
@@ -236,11 +299,11 @@ _PINNED = [
     ('v4', '4', 3, True),
     ('', '0', 1, True),
     ('v0', '5', 3, True),
-    ('v13,v2,v9', '11', 57, True),
+    ('v13,v2,v9', '11', 39, True),
     ('v5', '4', 3, True),
     ('v1', '2', 3, True),
     ('v0,v1', '11', 5, True),
-    ('v2,v5,v7', '15', 29, True),
+    ('v2,v5,v7', '15', 15, True),
     ('v0', '8', 7, True),
     ('', '0', 1, True),
     ('v1,v2,v3,v4', '11', 49, True),
@@ -263,18 +326,18 @@ _PINNED = [
     ('', 'None', 10, False),
     ('v3,v6,v8', '21', 10, False),
     ('', '0', 1, True),
-    ('fill_9_0,t0,t4,t5', '4', 1205, True),
-    ('fill_4_0,fill_8_0,fill_9_0,t0,t1,t2', '6', 251, True),
-    ('fill_9_0,t0,t1,t3,t4', '5', 773, True),
-    ('fill_6_0,fill_8_0,t0,t1,t2', '5', 207, True),
-    ('fill_3_0,t0,t2,t3', '4', 105, True),
-    ('fill_2_0,fill_3_0,fill_4_0,t1,t2', '5', 81, True),
-    ('x2,x4', '2', 11, True),
-    ('da0,da1,da2,db0,x0,x1', '18', 405, True),
+    ('fill_9_0,t0,t4,t5', '4', 31, True),
+    ('fill_4_0,fill_8_0,fill_9_0,t0,t1,t2', '6', 13, True),
+    ('fill_9_0,t0,t1,t3,t4', '5', 19, True),
+    ('fill_6_0,fill_8_0,t0,t1,t2', '5', 11, True),
+    ('fill_3_0,t0,t2,t3', '4', 23, True),
+    ('fill_2_0,fill_3_0,fill_4_0,t1,t2', '5', 23, True),
+    ('x2,x4', '2', 7, True),
+    ('da0,da1,da2,db0,x0,x1', '18', 385, True),
     ('x2', '1', 3, True),
-    ('da0,da1,x0', '7', 75, True),
+    ('da0,da1,x0', '7', 45, True),
     ('', 'None', 1, True),
-    ('da0,da1,da2,da3,da4,da5,da6,da7,da8,x0,x1,x2', '66', 119, True),
+    ('da0,da1,da2,da3,da4,da5,da6,da7,da8,x0,x1,x2', '66', 117, True),
 ]
 
 
@@ -352,6 +415,15 @@ _WEIGHTED_SOLVERS = {
     "bnb": lambda inst, r: branch_and_bound(inst, r, NOHOLES),
     "bnb-holes": lambda inst, r: branch_and_bound(inst, r, HOLES),
 }
+
+
+@pytest.mark.parametrize(
+    "name", sorted(_WEIGHTED_SOLVERS.keys() - {"dp-cover", "dp-extra"}))
+def test_negative_r_is_refused(name):
+    """Every solver that takes a register count refuses r < 0; dp-cover
+    takes none and dp-extra a decrement."""
+    with pytest.raises(ValueError, match="must be >= 0"):
+        _WEIGHTED_SOLVERS[name](BELADY_W, -1)
 
 
 @pytest.mark.parametrize("weight", [0, -1])
