@@ -230,6 +230,7 @@ def _fmt_csv(ids):
 def serialize(instance) -> str:
     """Canonical text form: sorted records, byte-stable across runs."""
     out = [f"format {FORMAT_TAG}"]
+    pos = instance.point_pos  # sorted ids on a block
     if instance.code_backed:
         out.append(f"kind {instance.shape}")
     else:
@@ -244,7 +245,9 @@ def serialize(instance) -> str:
     if instance.liveout:
         out.append(f"liveout {_fmt_csv(instance.liveout)}")
     if instance.code_backed:
-        for ins in sorted(instance.instructions, key=lambda i: instance.point_pos[i.at]):
+        # an instruction off the points goes last
+        for ins in sorted(instance.instructions,
+                          key=lambda i: pos.get(i.at, len(pos))):
             out.append(f"instr {ins.at} uses {_fmt_csv(ins.uses)} "
                        f"defs {_fmt_csv(ins.defs)}")
     for vid in instance.var_ids:
@@ -252,7 +255,6 @@ def serialize(instance) -> str:
         if not instance.code_backed:
             pts = instance.ranges[vid]
             if instance.shape == LINEAR:
-                pos = instance.point_pos  # sorted ids on a block
                 if not (pts and pts <= pos.keys()
                         and pos[max(pts)] - pos[min(pts)] == len(pts) - 1):
                     raise MalformedCodeError(

@@ -37,7 +37,7 @@ def greedy_furthest(instance, r, mode=NOHOLES):
     # per bit, the sample its range ends at; live-out ranges end past the
     # block, so they are always preferred at equal ends
     end = [len(instance.samples) if v in instance.liveout
-           else instance.spans.get(v, (0, 0))[1] for v in instance.var_ids]
+           else instance.spans[v][1] for v in instance.var_ids]
     live = instance.live_masks
     spilled = 0
     steps = 0
@@ -56,11 +56,10 @@ def greedy_furthest(instance, r, mode=NOHOLES):
 
 
 def _flow_solve(instance, r):
-    """Returns (spilled set, flow per variable arc, dijkstra pops); a
-    variable that is never live has no arc and is never spilled.
+    """Returns (spilled set, flow per variable arc, dijkstra pops).
 
     A node per segment boundary of the sample chain, a chain arc per
-    segment (capacity omega, cost 0) and an arc per live variable over
+    segment (capacity omega, cost 0) and an arc per variable over
     its span (capacity 1, cost minus its weight); a flow of value r keeps
     the variables whose arcs carry a unit. The empty flow is optimal at
     value 0, and the all-kept flow (chain arc i carrying omega - live_i)
@@ -75,8 +74,7 @@ def _flow_solve(instance, r):
     node = {c: i for i, c in enumerate(coords)}
     n = len(coords)
     arcs = [(v, node[spans[v][0]], node[spans[v][1] + 1], w)
-            for v, w in zip(instance.var_ids, instance.int_weights)
-            if v in spans]
+            for v, w in zip(instance.var_ids, instance.int_weights)]
     load = [0] * n  # live variables over segment i, as differences first
     for _, a, b, _ in arcs:
         load[a] += 1
@@ -157,7 +155,7 @@ def weighted_optimal(instance, r, mode=NOHOLES):
     empty flow or the all-kept flow, so it runs at most min(r, omega - r)
     shortest-path searches: one at r = omega - 1. `steps` counts the heap
     pops of those searches. Raises MalformedCodeError on an instance
-    that is not sound (Instance.problem), a weight not > 0 among them.
+    that is not sound (Instance.problem).
     """
     instance.require_sound("weighted_optimal")
     _require_linear_noholes(instance, mode, "weighted_optimal")

@@ -12,6 +12,7 @@ so a variable born at a point never overlaps one dying there.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -100,11 +101,11 @@ class Instance:
     never live). The masks are the instance's only liveness tables;
     live_at and chads_at decode them on access.
 
-    Construction never raises on malformed input. It records in `problem`
-    the first reason the solvers cannot trust the instance, or None: the
-    points do not form one tree, a weight is not > 0, a live range is not
-    connected along the samples, or a chad lies where its variable is not
-    live. Every solver calls require_sound() first.
+    Construction never raises on malformed input. It checks every rule
+    of strict SSA code as it derives the tables, and records what breaks
+    them in `violations` (what validate() returns), in a fixed order;
+    `problem` is the first of them as text, or None. Every solver calls
+    require_sound() first.
 
     The samples form one tree, a chain on a block: up[i] is the sample
     just above sample i, -1 at the root and where a point's parent is
@@ -122,13 +123,13 @@ class Instance:
         self.livein = frozenset(livein)
         self.liveout = frozenset(liveout)
 
-        order, self.unreached, problem = _point_structure(shape, self.points)
+        order, found = _point_structure(shape, self.points)
         self.point_order = order  # point ids, chain order or DFS preorder
         self.point_pos = pos = {p: i for i, p in enumerate(order)}
         self.parent_of = {p.id: p.parent for p in self.points}
         # Two samples per point, use moment first: (p, USE) is sample
         # 2 * point_pos[p] and (p, DEF) the one after it.
-        self.samples = tuple((p, m) for p in order for m in (USE, DEF))
+        self.samples = tuple([(p, m) for p in order for m in (USE, DEF)])
         # (q, DEF) is sample 2 * pos[q] + 1, and that is -1 for q unknown
         self.up = (tuple(range(-1, 2 * len(order) - 1)) if shape == LINEAR
                    else tuple(u for i, p in enumerate(order) for u in (
@@ -136,18 +137,23 @@ class Instance:
 
         self.var_ids = tuple(sorted(weights if ranges is None else ranges))
         self.bit_of = {v: i for i, v in enumerate(self.var_ids)}
-        ws = [w if type(w) is int else Fraction(w)
-              for w in map(weights.__getitem__, self.var_ids)]
-        self.scale = lcm(*(w.denominator for w in ws))
-        self.int_weights = tuple(w.numerator * (self.scale // w.denominator) for w in ws)
+        ws = tuple(map(weights.__getitem__, self.var_ids))
+        if {*map(type, ws)} <= {int}:  # nothing to scale
+            self.scale, self.int_weights = 1, ws
+        else:
+            ws = [Fraction(w) for w in ws]
+            self.scale = lcm(*(w.denominator for w in ws))
+            self.int_weights = tuple(w.numerator * (self.scale // w.denominator)
+                                     for w in ws)
         self.ranges = ranges and {v: frozenset(ranges[v]) for v in self.var_ids}
 
-        # a run flips its bit on at its first sample and off after its last
+        # one pass, which also sets h and checks the rules; a run flips its
+        # bit on at its first sample and off after its last
         flips = [0] * (len(self.samples) + 1)
         count = [0] * (len(self.samples) + 1)
         chad = [0] * len(self.samples)
         spans = self.spans = {}
-        for i, (vid, _, _, chads, _, runs) in enumerate(self._derive()):
+        for i, (vid, chads, runs) in enumerate(self._derive(found)):
             bit = 1 << i
             for a, b in runs:
                 flips[a] ^= bit
@@ -161,9 +167,8 @@ class Instance:
         self.live_masks = tuple(accumulate(flips[:-1], int.__xor__))
         self.chad_masks = tuple(chad)
         self.omega = max(accumulate(count[:-1]), default=0)
-        self.h = max((max(len(i.uses), len(i.defs))
-                      for i in self.instructions or ()), default=0)
-        self.problem = problem or self._unsound_masks()
+        self.violations = tuple(found)
+        self.problem = str(found[0]) if found else None
 
     # -- construction -------------------------------------------------
 
@@ -172,10 +177,10 @@ class Instance:
                   livein=(), liveout=()):
         """Build a code-backed instance; ranges and chads are derived.
 
-        `weights` maps every variable id to its spill cost. Structural
-        problems (double definition, use outside the definition's scope,
-        a point off the tree) do not raise here: construction is tolerant
-        so that validate() can report them as data.
+        `weights` maps every variable id to its spill cost. Code that is
+        not strict SSA (a second definition, a use its definition does not
+        dominate, a point off the tree) does not raise here: it is
+        recorded in `violations`.
         """
         return cls(shape, points, weights, instructions=instructions,
                    livein=livein, liveout=liveout)
@@ -185,52 +190,190 @@ class Instance:
         """Build a pure range instance: `ranges` maps id -> iterable of points."""
         return cls(shape, points, weights, ranges=ranges)
 
-    def _derive(self):
-        """(id, definition or None, uses, chad samples, range points,
-        live sample runs) per variable, in var_ids order; runs are disjoint
-        (first, last) pairs. A block range is None: it is the points of
-        its one run, from the definition (or the block entry for live-in,
-        or the first use) to the last use (or the exit for live-out)."""
+    def _derive(self, found):
+        """(id, chad samples, live sample runs) per variable, in var_ids
+        order; runs are disjoint (first, last) pairs. A block variable has
+        one run, from the definition (or the block entry for live-in, or
+        the first use) to the last use (or the exit for live-out).
+
+        This is the one pass that checks the rules: it appends to `found`
+        each variable's weight, range, chad and connectivity violations
+        before it yields the variable, and after the last one the
+        violations of the instructions (instr, ssa, livein/liveout) and
+        of dominance. It sets h, the most uses or definitions at one
+        instruction."""
         pos = self.point_pos
-        if not self.code_backed:
-            for vid, rng in self.ranges.items():
-                yield vid, None, (), (), rng, [(2 * pos[p], 2 * pos[p] + 1)
-                                               for p in rng if p in pos]
-            return
-        def_at = {}
-        uses_at = {}  # var -> use points, in instruction order
-        for ins in self.instructions:
-            for v in ins.defs:
-                def_at.setdefault(v, ins.at)
-            for v in ins.uses:
-                uses_at.setdefault(v, []).append(ins.at)
+        bad = lambda code, subject, detail: found.append(
+            Violation(code, subject, detail))
         block, livein, liveout = self.shape == LINEAR, self.livein, self.liveout
-        for vid in self.var_ids:
+        code_backed, instrs = self.code_backed, self.instructions or ()
+        def_at = {}  # var -> its first definition
+        uses_at = defaultdict(list)  # var -> use points, in instruction order
+        ats = set()
+        n_defs = h = 0
+        for ins in instrs:
+            at, uses, defs = ins.at, ins.uses, ins.defs
+            ats.add(at)
+            for v in defs:
+                def_at.setdefault(v, at)
+            for v in uses:
+                uses_at[v].append(at)
+            n_defs += len(defs)
+            h = max(h, len(uses), len(defs))
+        self.h = h
+        known = not ats.difference(pos)
+        # var -> its first definition at a known point: read backwards,
+        # the last one written
+        def_of = def_at if known else {
+            v: ins.at for ins in reversed(instrs) if ins.at in pos
+            for v in ins.defs}
+        # False only if no instruction rule can fail; a use at its own
+        # definition shows in the variables' runs below
+        shady = not (known and len(ats) == len(instrs)
+                     and n_defs == len(def_at)
+                     and all(map(self.bit_of.__contains__, def_at))
+                     and all(map(self.bit_of.__contains__, uses_at))
+                     and livein.isdisjoint(def_at)
+                     and not (livein | liveout).difference(self.bit_of)
+                     and not (liveout and self.shape == TREE))
+
+        doubt = {}  # var -> the points of its uses that break dominance
+        last = len(self.samples) - 1
+        for vid, w in zip(self.var_ids, self.int_weights):
+            if w <= 0:
+                bad("weight", vid, f"weight {Fraction(w, self.scale)} is not > 0")
+            if not code_backed:
+                rng = self.ranges[vid]
+                runs = [(2 * pos[p], 2 * pos[p] + 1) for p in rng if p in pos]
+                if not rng:
+                    bad("range", vid, "empty live range")
+                elif len(runs) < len(rng):
+                    bad("range", vid, "range mentions unknown points")
+                elif not block:
+                    if sum(self.parent_of[p] not in rng for p in rng) != 1:
+                        bad("range", vid, "subtree range is not connected")
+                elif max(runs)[0] - min(runs)[0] != 2 * len(runs) - 2:
+                    bad("range", vid, "interval range is not contiguous")
+                yield vid, (), runs
+                continue
             d, uses = def_at.get(vid), uses_at.get(vid, ())
-            ups = [2 * pos[u] for u in uses if u in pos]
+            ups = ([2 * pos[u] for u in uses] if known
+                   else [2 * pos[u] for u in uses if u in pos])
             chads = ups + [2 * pos[d] + 1] if d in pos else ups
-            if not block:
-                yield (vid, d, uses, chads) + self._subtree(vid, d, uses)
-                continue
-            if d in pos:
-                s0 = chads[-1]
-            elif vid in livein and pos:
-                s0 = 0
-            elif ups:
-                s0 = min(ups)
+            if block:
+                # clean: no rule can fail, once every use is at a known point
+                if d in pos:
+                    s0 = chads[-1]
+                    clean = not ups or min(ups) > s0
+                elif vid in livein and pos:
+                    s0, clean = 0, d is None
+                else:
+                    s0, clean = min(ups) if ups else None, False
+                if s0 is None:
+                    runs = ()
+                else:
+                    s1 = last if vid in liveout else max(ups) if ups else s0
+                    # s1 < s0 when a use precedes the definition
+                    runs = [(s0, s1) if s0 <= s1 else (s1, s0)]
+                if clean and (known or len(ups) == len(uses)):
+                    yield vid, chads, runs
+                    continue
+                shady = True
+                # the points of the run; a repeated point id may lie on
+                # both sides of an end
+                lo, hi = runs[0] if runs else (0, -1)
+                rng = set(self.point_order[lo // 2:hi // 2 + 1])
+                if not rng:
+                    bad("range", vid, "empty live range")
+                outside = {(u, USE) for u in uses if u not in rng}
+                if d is not None and d not in rng:
+                    outside.add((d, DEF))
+                for p, _ in sorted(outside):
+                    bad("chad", vid, f"chad at point {p} lies outside the range")
             else:
-                yield vid, d, uses, chads, None, ()
+                # every chad point is in the range: the walks start there
+                rng, runs, top, stray = self._subtree(vid, d, uses)
+                if not rng:
+                    bad("range", vid, "empty live range")
+                elif top not in pos or not stray <= pos.keys():
+                    bad("range", vid, "range mentions unknown points")
+                # without stray uses the range hangs from top, and only a
+                # cycle through top closes it
+                elif (sum(self.parent_of[p] not in rng for p in rng) != 1
+                      if stray else self.parent_of[top] in rng):
+                    bad("range", vid, "subtree range is not connected")
+                shady = shady or d in uses
+            # the uses that break dominance
+            first = def_of.get(vid)
+            if first is None:
+                stray = set() if vid in livein else set(uses)
+            elif block:
+                stray = {u for u in uses if pos.get(u, -1) <= pos[first]}
+            elif first != d:  # d is at an unknown point, listed first
+                stray = self._subtree(vid, first, uses)[3]
+            if stray:
+                doubt[vid] = stray
+            yield vid, chads, runs
+
+        if not code_backed:
+            if livein or liveout:
+                bad("livein/liveout", "<instance>",
+                    "range instances take no livein/liveout")
+            return
+        if shady:
+            self._instruction_rules(bad)
+        for ins in instrs if doubt else ():
+            for v in sorted(ins.uses) if len(ins.uses) > 1 else ins.uses:
+                if ins.at not in doubt.get(v, ()):
+                    continue
+                d = def_of.get(v)
+                bad("dominance", v,
+                    f"used at {ins.at} but never defined and not live-in"
+                    if d is None else
+                    f"use at {ins.at} precedes definition at {d}" if block
+                    else f"use at {ins.at} is outside the subtree of "
+                         f"definition {d}")
+
+    def _instruction_rules(self, bad):
+        """Call bad(code, subject, detail) for each violation of the rules
+        on the instructions of a code, live-in and live-out, in order."""
+        pos, livein, liveout = self.point_pos, self.livein, self.liveout
+        names = self.bit_of.keys()
+        def_of = {}
+        seen_at = set()
+        for ins in self.instructions:
+            at, uses, defs = ins.at, ins.uses, ins.defs
+            if at not in pos:
+                bad("instr", f"point {at}", "instruction at unknown point")
                 continue
-            s1 = len(self.samples) - 1 if vid in liveout else max(ups) if ups else s0
-            # s1 < s0 is malformed code, tolerated for validate()
-            yield vid, d, uses, chads, None, [(s0, s1) if s0 <= s1 else (s1, s0)]
+            if at in seen_at:
+                bad("instr", f"point {at}", "multiple instructions at one point")
+            seen_at.add(at)
+            if not uses.isdisjoint(defs):
+                bad("instr", f"point {at}",
+                    f"uses and defs overlap: {sorted(uses & defs)}")
+            for v in sorted((uses | defs) - names):
+                bad("instr", f"point {at}", f"undeclared variable {v}")
+            for v in sorted(defs):
+                if v in def_of:
+                    bad("ssa", v, f"defined at {def_of[v]} and again at {at}")
+                else:
+                    def_of[v] = at
+                if v in livein:
+                    bad("ssa", v, "live-in variable must not be defined")
+        for v in sorted((livein | liveout) - names):
+            bad("livein/liveout", v, "undeclared variable")
+        if liveout and self.shape == TREE:
+            bad("liveout", "<instance>", "liveout is only defined for linear codes")
 
     def _subtree(self, vid, d, uses):
-        """(range points, live sample runs) of one variable of a tree
-        code, defined at d (or None) and used at `uses`: the union of
-        the walks from each use up to the definition (or the root for
-        live-in); each point is walked once, and a walk that leaves the
-        tree or circles keeps only its use, for validate() to report."""
+        """(range points, live sample runs, top, stray uses) of one
+        variable of a tree code, defined at d (or None) and used at
+        `uses`. The range is the union of the walks from each use up to
+        the top: the definition, or the root for live-in, or else the
+        first use; each point is walked once. A use whose walk leaves the
+        tree or circles never meets the top: it is stray, and kept alone
+        in the range. Without a top the range is empty."""
         pos = self.point_pos
         if d is not None:
             top = d
@@ -239,23 +382,23 @@ class Instance:
         elif uses:
             top = min(uses, key=lambda u: pos.get(u, len(pos)))
         else:
-            return (), ()
+            return (), (), None, set()
         reached = {top}  # joined to top by parent links
         dead = set()  # walks from these never meet top
-        rng = {top}
+        stray = set()
         for u in uses:
             path = set()
             q = u
             while q not in reached:
                 if q in path or q in dead or q not in pos:
                     dead |= path
-                    rng.add(u)  # kept alone, for validate() to flag
+                    stray.add(u)
                     break
                 path.add(q)
                 q = self.parent_of[q]
             else:
                 reached |= path
-        rng |= reached
+        rng = reached | stray
         has_kid = {self.parent_of.get(q) for q in rng}
         runs = []
         for p in rng:
@@ -267,43 +410,14 @@ class Instance:
                 last = 2 * pos[p] + (p in has_kid or (p == d and len(rng) == 1))
                 if first <= last:
                     runs.append((first, last))
-        return rng, runs
-
-    def _unsound_masks(self):
-        """The first problem in the weights and masks of an instance whose
-        points form one tree, or None.
-
-        A range is connected along the sample tree iff it has one top: a
-        sample where the variable is live but not at the sample above it,
-        up[i] (nothing is live above the root). A code-backed block is
-        not checked: construction gives each of its variables one run.
-        """
-        for vid, w in zip(self.var_ids, self.int_weights):
-            if w <= 0:
-                return f"weights > 0; {vid} weighs {self.weight(vid)}"
-        live = self.live_masks
-        ups = (() if self.code_backed and self.shape == LINEAR
-               else map((live + (0,)).__getitem__, self.up))  # [-1] is 0
-        seen = 0  # variables whose top has been passed
-        for lm, up in zip(live, ups):
-            tops = (lm ^ up) & lm  # xor, not & ~up: ints stay positive
-            if tops & seen:
-                vid = min(self.decode(tops & seen))
-                return (f"connected live ranges; {vid} is live in two "
-                        "separate places")
-            seen |= tops
-        for (p, m), lm, cm in zip(self.samples, live, self.chad_masks):
-            if cm & lm != cm:
-                vid = min(self.decode(cm ^ cm & lm))
-                return (f"chads where their variable is live; {vid} has one "
-                        f"at ({p}, {m})")
-        return None
+        return rng, runs, top, stray
 
     def require_sound(self, what):
         """Raise MalformedCodeError naming `problem`, if there is one;
         `what` names the solver that cannot trust the instance."""
         if self.problem:
-            raise MalformedCodeError(f"{what} needs {self.problem}")
+            raise MalformedCodeError(f"{what} needs a valid instance; "
+                                     f"{self.problem}")
 
     # -- convenience --------------------------------------------------
 
@@ -387,44 +501,54 @@ def run_starts(columns):
 
 
 def _point_structure(shape, points):
-    """(order, unreached, problem) whatever the points: chain order or
-    DFS preorder with children by id, unreached points last; the points
-    no walk from a root reaches; why they are not one tree, or None."""
+    """(order, violations) whatever the points: chain order or DFS
+    preorder with children by id, unreached points last; and what breaks
+    the points and shape rules, in validate()'s order."""
+    found = []
+    bad = lambda code, subject, detail: found.append(
+        Violation(code, subject, detail))
     ids = [p.id for p in points]
-    unreached = frozenset()
-    problem = "unique point ids" if len(set(ids)) < len(ids) else None
+    if not points:
+        bad("points", "<instance>", "instance has no points")
+    if len(set(ids)) < len(ids):
+        bad("points", "<instance>", "duplicate point ids")
     if shape == LINEAR:
-        order = sorted(ids)
-        stray = next((p.id for p in points if p.parent is not None), None)
-        if stray is not None:
-            problem = problem or (f"a block's points without parents; "
-                                  f"point {stray} has one")
-    else:
-        roots = [p.id for p in points if p.parent is None]
-        children = {p: [] for p in ids}
         for p in points:
-            if p.parent is not None and p.parent in children:
-                children[p.parent].append(p.id)
-        for c in children.values():
-            c.sort()
-        order = []
-        seen = set()
-        stack = sorted(roots, reverse=True)
-        while stack:
-            p = stack.pop()
-            if p in seen:
-                continue
-            seen.add(p)
-            order.append(p)
-            stack.extend(reversed(children[p]))
-        unreached = frozenset(ids) - seen
-        order.extend(sorted(unreached))  # orphans, tolerated
-        if len(roots) != 1:
-            problem = problem or f"a tree with one root; it has {len(roots)}"
-        elif unreached:
-            problem = problem or (f"every point reached from the root; "
-                                  f"point {min(unreached)} is not")
-    return order, unreached, problem
+            if p.parent is not None:
+                bad("shape", f"point {p.id}", "linear code points take no parent")
+        return sorted(ids), found
+    roots = [p.id for p in points if p.parent is None]
+    children = {p: [] for p in ids}
+    for p in points:
+        if p.parent is not None and p.parent in children:
+            children[p.parent].append(p.id)
+    for c in children.values():
+        c.sort()
+    order = []
+    seen = set()
+    stack = sorted(roots, reverse=True)
+    while stack:
+        p = stack.pop()
+        if p in seen:
+            continue
+        seen.add(p)
+        order.append(p)
+        stack.extend(reversed(children[p]))
+    unreached = frozenset(ids) - seen
+    order.extend(sorted(unreached))  # orphans, tolerated
+    if shape != TREE:
+        bad("shape", "<instance>", f"unknown shape {shape!r}")
+        return order, found
+    if len(roots) != 1:
+        bad("shape", "<instance>",
+            f"tree code needs exactly one root, found {len(roots)}")
+    for p in points:
+        if p.parent is not None and p.parent not in children:
+            bad("shape", f"point {p.id}", f"unknown parent {p.parent}")
+    for p in points:
+        if p.id in unreached:
+            bad("shape", f"point {p.id}", "not reachable from the root")
+    return order, found
 
 
 # ---------------------------------------------------------------------
@@ -432,134 +556,12 @@ def _point_structure(shape, points):
 # ---------------------------------------------------------------------
 
 def validate(instance):
-    """Check every structural invariant; violations are data, not errors.
-    Rules that a `problem` of None settles are not checked again; a sound
-    code with every instruction at a known point decodes no range, as a
-    range is then empty exactly when it has no span."""
-    out = []
-    bad = lambda code, subj, detail: out.append(Violation(code, subj, detail))
-    sound = instance.problem is None
-    known_pts = instance.point_pos  # every point id
-
-    if not instance.points:
-        bad("points", "<instance>", "instance has no points")
-    if len(known_pts) != len(instance.points):
-        bad("points", "<instance>", "duplicate point ids")
-
-    if instance.shape == LINEAR:
-        for p in instance.points:
-            if p.parent is not None:
-                bad("shape", f"point {p.id}", "linear code points take no parent")
-    elif instance.shape == TREE:
-        roots = [p for p in instance.points if p.parent is None]
-        if len(roots) != 1:
-            bad("shape", "<instance>",
-                f"tree code needs exactly one root, found {len(roots)}")
-        for p in instance.points:
-            if p.parent is not None and p.parent not in known_pts:
-                bad("shape", f"point {p.id}", f"unknown parent {p.parent}")
-        for p in instance.points:
-            if p.id in instance.unreached:
-                bad("shape", f"point {p.id}", "not reachable from the root")
-    else:
-        bad("shape", "<instance>", f"unknown shape {instance.shape!r}")
-
-    if sound and instance.code_backed and all(
-            i.at in known_pts for i in instance.instructions):
-        for vid in instance.var_ids:
-            if vid not in instance.spans:
-                bad("range", vid, "empty live range")
-    else:
-        order = instance.point_order
-        for vid, d, uses, _, pts, runs in instance._derive():
-            if pts is None:  # a block range: the points of its run
-                pts = [p for a, b in runs for p in order[a // 2:b // 2 + 1]]
-            pts = frozenset(pts)
-            w = instance.weight(vid)
-            if not sound and w <= 0:
-                bad("weight", vid, f"weight {w} is not > 0")
-            if not pts:
-                bad("range", vid, "empty live range")
-            if not pts <= known_pts.keys():
-                bad("range", vid, "range mentions unknown points")
-            chads = {(u, USE) for u in uses} | ({(d, DEF)} if d is not None else set())
-            for p, _ in sorted(chads):
-                if p not in pts:
-                    bad("chad", vid, f"chad at point {p} lies outside the range")
-            if sound or not pts or not pts <= known_pts.keys():
-                continue
-            if instance.shape != LINEAR:
-                if len([p for p in pts if instance.parent_of[p] not in pts]) != 1:
-                    bad("range", vid, "subtree range is not connected")
-            elif not instance.code_backed:
-                idxs = sorted(known_pts[p] for p in pts)
-                if idxs != list(range(idxs[0], idxs[-1] + 1)):
-                    bad("range", vid, "interval range is not contiguous")
-
-    if instance.code_backed:
-        seen_at = set()
-        def_of = {}
-        names = set(instance.var_ids)
-        ordered = lambda ids: sorted(ids) if len(ids) > 1 else ids
-        for ins in instance.instructions:
-            at, uses, defs = ins.at, ins.uses, ins.defs
-            if at not in known_pts:
-                bad("instr", f"point {at}", "instruction at unknown point")
-                continue
-            if at in seen_at:
-                bad("instr", f"point {at}", "multiple instructions at one point")
-            seen_at.add(at)
-            if not uses.isdisjoint(defs):
-                bad("instr", f"point {at}",
-                    f"uses and defs overlap: {sorted(uses & defs)}")
-            if not (names.issuperset(uses) and names.issuperset(defs)):
-                for v in sorted((uses | defs) - names):
-                    bad("instr", f"point {at}", f"undeclared variable {v}")
-            for v in ordered(defs):
-                if v in def_of:
-                    bad("ssa", v, f"defined at {def_of[v]} and again at {at}")
-                else:
-                    def_of[v] = at
-                if v in instance.livein:
-                    bad("ssa", v, "live-in variable must not be defined")
-        for v in sorted((instance.livein | instance.liveout) - names):
-            bad("livein/liveout", v, "undeclared variable")
-        if instance.liveout and instance.shape == TREE:
-            bad("liveout", "<instance>", "liveout is only defined for linear codes")
-
-        # dominance: every use sits at or below (after) its definition
-        for ins in instance.instructions:
-            for v in ordered(ins.uses):
-                if v not in names:
-                    continue
-                d = def_of.get(v)
-                if d is None:
-                    if v not in instance.livein:
-                        bad("dominance", v,
-                            f"used at {ins.at} but never defined and not live-in")
-                    continue
-                if instance.shape == LINEAR:
-                    if known_pts.get(ins.at, -1) <= known_pts[d]:
-                        bad("dominance", v, f"use at {ins.at} precedes definition at {d}")
-                else:
-                    if not _dominates(d, ins.at, instance.parent_of):
-                        bad("dominance", v,
-                            f"use at {ins.at} is outside the subtree of definition {d}")
-    else:
-        if instance.livein or instance.liveout:
-            bad("livein/liveout", "<instance>", "range instances take no livein/liveout")
-    return out
-
-
-def _dominates(anc, node, parent_of):
-    q = node
-    seen = set()
-    while q is not None and q not in seen:
-        if q == anc:
-            return True
-        seen.add(q)
-        q = parent_of.get(q)
-    return False
+    """Every violation of the rules of strict SSA code, as construction
+    recorded them; violations are data, not errors. The order is fixed:
+    points and shape, then per variable its weight, range, chads and
+    connectivity, then the instructions, live-in and live-out, and
+    dominance; the ids of one record are in sorted order."""
+    return list(instance.violations)
 
 
 def pressure(instance, spilled, mode):
@@ -620,10 +622,9 @@ def is_chordal(instance):
     Sound ranges are connected subtrees of one tree, so the graph is
     chordal (Gavril 1974). Samples follow the block or the tree's
     preorder, so a range's first sample is its top, and a neighbour that
-    starts no later contains that top. Hence the order: the live ranges
-    by first sample, latest first (spans is in var_ids order and the
-    sort is stable), then the never-live variables."""
+    starts no later contains that top. Hence the order: the variables by
+    first sample, latest first (spans is in var_ids order and the sort is
+    stable); a sound instance has no empty range."""
     instance.require_sound("is_chordal")
     spans = instance.spans
-    order = sorted(spans, key=lambda v: spans[v][0], reverse=True)
-    return True, order + [v for v in instance.var_ids if v not in spans]
+    return True, sorted(spans, key=lambda v: spans[v][0], reverse=True)

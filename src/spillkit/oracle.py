@@ -2,7 +2,7 @@
 
 Both accept every instance shape and both pressure modes; they are the
 reference the polynomial solvers are tested against. Like every solver,
-they refuse an instance that construction records as unsound
+they refuse an instance that breaks a rule of strict SSA code
 (Instance.problem), and a negative register count. Infeasibility (a
 with-holes instance whose chad floor exceeds the target somewhere) is a
 first-class result, not an error.

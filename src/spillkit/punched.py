@@ -48,10 +48,9 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     extensions tested.
 
     Raises MalformedCodeError on an instance that is not sound
-    (Instance.problem), a weight not > 0 among them, and InfeasibleError
-    when no extra set within the cap reaches the target. Its witness is
-    the first sample no state reaches, or None when the instance has no
-    samples.
+    (Instance.problem), and InfeasibleError when no extra set within the
+    cap reaches the target. Its witness is the first sample no state
+    reaches.
     """
     instance.require_sound("extra_set_dp")
     if instance.shape != LINEAR:
@@ -65,10 +64,7 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     r = omega - k
     cap = 2 * (instance.h + k)
     live, chad = instance.live_masks, instance.chad_masks
-    starts = run_starts(list(zip(live, chad)))
-    if not starts:
-        raise InfeasibleError(
-            f"no samples, so no extra set reaches pressure {r}", witness=None)
+    starts = run_starts(list(zip(live, chad)))  # a sound instance has points
     last = len(starts) - 1
 
     # per column: live, chads, the part still live in the next column (a

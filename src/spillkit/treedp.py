@@ -151,8 +151,7 @@ def fitting_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     it before its states are built, and BudgetExceededError is raised past
     it. `steps` counts the states built and the child states looked up.
     Raises MalformedCodeError on an instance that is not sound
-    (Instance.problem): weights not > 0, points that are not one tree, a
-    range that is not connected, or a chad where its variable is not live.
+    (Instance.problem, the first rule of strict SSA code it breaks).
     """
     return _solve_fitting(instance, k, holes=False, state_budget=state_budget)
 

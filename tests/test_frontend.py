@@ -18,7 +18,7 @@ from builders import (random_linear_block, random_linear_code,
                       random_linear_ranges, random_tree_code,
                       random_tree_ranges, seeded)
 from test_format import _spill_text
-from test_model import TOLERATED, _any_instance
+from test_model import TOLERATED, _any_instance, assert_one_rule_set
 
 
 def _draws(strategy, n):
@@ -45,11 +45,22 @@ def _digest(lines):
 
 def _tables(inst):
     """Every table construction builds and the validate() report of one
-    instance, as one line."""
+    instance, as one line; the report's first line, or None, is repeated
+    before it."""
+    report = [str(v) for v in validate(inst)]
     return repr((inst.samples, inst.live_masks, inst.chad_masks,
                  sorted(inst.spans.items()), inst.int_weights, inst.scale,
-                 inst.omega, inst.h, inst.problem,
-                 [str(v) for v in validate(inst)]))
+                 inst.omega, inst.h, report[0] if report else None, report))
+
+
+def _pinned(insts):
+    """The _tables line of each instance, once it is checked that the
+    instance's `problem` is None exactly when validate() finds nothing."""
+    lines = []
+    for inst in insts:
+        assert_one_rule_set(inst)
+        lines.append(_tables(inst))
+    return lines
 
 
 def _builder_instances():
@@ -79,22 +90,22 @@ def _off_the_points():
 
 
 def test_codes_off_their_points_are_pinned():
-    assert _digest(map(_tables, _off_the_points())) == "21b32c4fbe827d5f"
+    assert _digest(_pinned(_off_the_points())) == "43184213d1d1996e"
 
 
 def test_tolerated_forms_are_pinned():
-    lines = [_tables(TOLERATED[form][0]()) for form in sorted(TOLERATED)]
-    assert _digest(lines) == "c1df32d4791099b5"
+    lines = _pinned(TOLERATED[form][0]() for form in sorted(TOLERATED))
+    assert _digest(lines) == "f46ef606ddbe686f"
 
 
 def test_any_instance_draws_are_pinned():
-    lines = [_tables(inst) for inst in _draws(_any_instance(), 300)]
+    lines = _pinned(_draws(_any_instance(), 300))
     assert len(lines) == 300
-    assert _digest(lines) == "605ef48d004b3efd"
+    assert _digest(lines) == "2b54ed77383f2a12"
 
 
 def test_builder_families_are_pinned():
-    lines = [_tables(inst) for inst in _builder_instances()]
+    lines = _pinned(_builder_instances())
     assert _digest(lines) == "2c0928a1c10be026"
 
 
@@ -110,6 +121,33 @@ def test_parse_errors_are_pinned():
         else:
             lines.append(fileformat.serialize(inst))
     assert _digest(lines) == "0af2c0043a152e1f"
+
+
+def test_parse_derives_once(monkeypatch):
+    """parse makes one liveness pass, valid or not: construction checks
+    the rules as it derives the tables, and validate() reads its record."""
+    calls = []
+    derive = Instance._derive
+
+    def counted(self, found):
+        calls.append(self)
+        return derive(self, found)
+
+    monkeypatch.setattr(Instance, "_derive", counted)
+    rng = seeded(1111)
+    texts = [fileformat.serialize(random_linear_code(rng, h=2)),
+             fileformat.serialize(random_tree_ranges(rng)),
+             "format spill-v1\nkind linear\npoint 1\npoint 2\n"
+             "instr 1 uses - defs a\ninstr 9 uses a defs -\nvar a weight 1\n"]
+    for text, valid in zip(texts, (True, True, False)):
+        calls.clear()
+        try:
+            fileformat.parse(text)
+        except ParseError:
+            assert not valid
+        else:
+            assert valid
+        assert len(calls) == 1
 
 
 def _rebuilt(inst, weights=None, instructions=None):

@@ -110,14 +110,17 @@ class TestWeightedOptimal:
             _, flows, _ = _flow_solve(inst, r)
             assert all(f in (0, 1) for f in flows.values())
 
-    def test_never_live_variable_is_kept(self):
-        # c has an empty range: it has no flow arc and is never spilled
+    def test_never_live_variable_is_refused(self):
+        # c has an empty range, which no strict SSA variable has
         inst = Instance.from_ranges(LINEAR, [Point(1), Point(2)],
                                     {"a": [1, 2], "b": [1, 2], "c": []},
                                     {"a": 1, "b": 2, "c": 3})
-        sol = weighted_optimal(inst, 1)
-        assert sol.spilled == {"a"}
-        assert sol.cost == brute_force(inst, 1, NOHOLES).cost == 1
+        for solve in (weighted_optimal, lambda inst, r: brute_force(
+                inst, r, NOHOLES)):
+            with pytest.raises(MalformedCodeError, match=(
+                    r"needs a valid instance; \[range\] c: empty live "
+                    "range$")):
+                solve(inst, 1)
 
     def test_matches_network_simplex_at_scale(self):
         # networkx's network simplex on the same r-unit flow, at sizes
@@ -232,6 +235,6 @@ def test_gapped_range_is_refused(others):
                          lambda: incremental_cover_dp(inst)),
                         ("greedy_furthest", lambda: greedy_furthest(inst, 1))]:
         with pytest.raises(MalformedCodeError, match=(
-                f"^{what} needs connected live ranges; a is live in two "
-                "separate places$")):
+                f"^{what} needs a valid instance; \\[range\\] a: interval "
+                "range is not contiguous$")):
             solve()

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,92 @@ def tree_code(parents, instrs, weights, livein=()):
 def spelled(sets):
     """Per-sample id sets as strings: {"a", "b"} is "ab"."""
     return ["".join(sorted(s)) for s in sets]
+
+
+# Malformed codes from_code tolerates, recording their violations:
+# (builder, live variables per sample, chad variables per sample).
+# Samples run (1, use), (1, def), (2, use), ...; "ab" means {a, b}.
+TOLERATED = {
+    # a is used at 2 and defined at 3: its run is swapped, not dropped
+    "linear use before def": (
+        lambda: linear_code(4, [ins(2, "a"), ins(3, defs="a"), ins(4, "b")],
+                            {"a": 1, "b": 1}, livein={"b"}),
+        ["b", "b", "ab", "ab", "ab", "ab", "b", ""],
+        ["", "", "a", "", "", "a", "b", ""]),
+    # a is defined at 1 and again at 2, where it is also used
+    "use and def at one instruction": (
+        lambda: linear_code(4, [ins(1, defs="a"), ins(2, "a", "ab"), ins(4, "b")],
+                            {"a": 1, "b": 1}),
+        ["", "a", "a", "b", "b", "b", "b", ""],
+        ["", "a", "a", "b", "", "", "b", ""]),
+    # a is defined at 2 but used at 3 and 4, a sibling's subtree
+    "tree use outside the definition's subtree": (
+        lambda: tree_code([None, 1, 1, 3], [ins(2, defs="a"), ins(4, "a"),
+                                            ins(3, "a")], {"a": 1}),
+        ["", "", "", "", "a", "a", "a", ""],
+        ["", "", "", "a", "a", "", "a", ""]),
+    # point 3's parent 9 does not exist; a use there stays in the range
+    "orphan point": (
+        lambda: tree_code([None, 1, 9], [ins(1, defs="a"), ins(3, "a"),
+                                         ins(2, "a")], {"a": 1}),
+        ["", "a", "a", "", "a", ""],
+        ["", "a", "a", "", "a", ""]),
+    "linear def-only variable": (
+        lambda: linear_code(3, [ins(2, defs="a"), ins(3, "b")],
+                            {"a": 1, "b": 1}, livein={"b"}),
+        ["b", "b", "b", "ab", "b", ""],
+        ["", "", "", "a", "b", ""]),
+    "tree def-only variable": (
+        lambda: tree_code([None, 1], [ins(2, defs="a")], {"a": 1}),
+        ["", "", "", "a"],
+        ["", "", "", "a"]),
+    "linear live-in variable with no use": (
+        lambda: linear_code(3, [ins(2, defs="b")], {"a": 1, "b": 1},
+                            livein={"a"}),
+        ["a", "", "", "b", "", ""],
+        ["", "", "", "b", "", ""]),
+    "tree live-in variable with no use": (
+        lambda: tree_code([None, 1], [ins(2, defs="b")], {"a": 1, "b": 1},
+                          livein={"a"}),
+        ["a", "", "", "b"],
+        ["", "", "", "b"]),
+    # b is used at 2 but not declared
+    "use of an undeclared variable": (
+        lambda: linear_code(3, [ins(1, defs="a"), ins(2, "ab"), ins(3, "a")],
+                            {"a": 1}),
+        ["", "a", "a", "a", "a", ""],
+        ["", "a", "a", "", "a", ""]),
+    # a is live-in and defined at 1 as well
+    "defined live-in variable": (
+        lambda: linear_code(3, [ins(1, defs="a"), ins(3, "a")], {"a": 1},
+                            livein={"a"}),
+        ["", "a", "a", "a", "a", ""],
+        ["", "a", "", "", "a", ""]),
+    # the block has no point 9: the use there is no chad
+    "instruction at an unknown point": (
+        lambda: linear_code(3, [ins(1, defs="a"), ins(2, "a"), ins(9, "a")],
+                            {"a": 1}),
+        ["", "a", "a", "", "", ""],
+        ["", "a", "a", "", "", ""]),
+}
+
+
+# The problem construction records for each tolerated form that breaks
+# a rule: the first violation validate() reports. The other forms are
+# strict SSA code, and are solved.
+UNSOUND = {
+    "linear use before def":
+        "[dominance] a: use at 2 precedes definition at 3",
+    "use and def at one instruction":
+        "[instr] point 2: uses and defs overlap: ['a']",
+    "tree use outside the definition's subtree":
+        "[range] a: subtree range is not connected",
+    "orphan point": "[shape] point 3: unknown parent 9",
+    "use of an undeclared variable": "[instr] point 2: undeclared variable b",
+    "defined live-in variable": "[ssa] a: live-in variable must not be defined",
+    "instruction at an unknown point":
+        "[chad] a: chad at point 9 lies outside the range",
+}
 
 
 class TestValidate:
@@ -193,11 +280,12 @@ class TestChordal:
             for _ in range(40):
                 assert_chordal_witness(make())
 
-    @pytest.mark.parametrize("name", [
-        "tree use outside the definition's subtree", "orphan point"])
+    @pytest.mark.parametrize("name", sorted(UNSOUND))
     def test_unsound_instances_are_refused(self, name):
         inst = TOLERATED[name][0]()
-        with pytest.raises(MalformedCodeError, match=r"^is_chordal needs "):
+        with pytest.raises(MalformedCodeError, match=(
+                f"^is_chordal needs a valid instance; "
+                f"{re.escape(UNSOUND[name])}$")):
             is_chordal(inst)
 
 
@@ -232,63 +320,29 @@ def test_tree_ranges_stay_connected():
         assert validate(inst) == []
 
 
-# Malformed codes from_code tolerates, so that validate() can report them:
-# (builder, live variables per sample, chad variables per sample).
-# Samples run (1, use), (1, def), (2, use), ...; "ab" means {a, b}.
-TOLERATED = {
-    # a is used at 2 and defined at 3: its run is swapped, not dropped
-    "linear use before def": (
-        lambda: linear_code(4, [ins(2, "a"), ins(3, defs="a"), ins(4, "b")],
-                            {"a": 1, "b": 1}, livein={"b"}),
-        ["b", "b", "ab", "ab", "ab", "ab", "b", ""],
-        ["", "", "a", "", "", "a", "b", ""]),
-    # a is defined at 1 and again at 2, where it is also used
-    "use and def at one instruction": (
-        lambda: linear_code(4, [ins(1, defs="a"), ins(2, "a", "ab"), ins(4, "b")],
-                            {"a": 1, "b": 1}),
-        ["", "a", "a", "b", "b", "b", "b", ""],
-        ["", "a", "a", "b", "", "", "b", ""]),
-    # a is defined at 2 but used at 3 and 4, a sibling's subtree
-    "tree use outside the definition's subtree": (
-        lambda: tree_code([None, 1, 1, 3], [ins(2, defs="a"), ins(4, "a"),
-                                            ins(3, "a")], {"a": 1}),
-        ["", "", "", "", "a", "a", "a", ""],
-        ["", "", "", "a", "a", "", "a", ""]),
-    # point 3's parent 9 does not exist; a use there stays in the range
-    "orphan point": (
-        lambda: tree_code([None, 1, 9], [ins(1, defs="a"), ins(3, "a"),
-                                         ins(2, "a")], {"a": 1}),
-        ["", "a", "a", "", "a", ""],
-        ["", "a", "a", "", "a", ""]),
-    "linear def-only variable": (
-        lambda: linear_code(3, [ins(2, defs="a"), ins(3, "b")],
-                            {"a": 1, "b": 1}, livein={"b"}),
-        ["b", "b", "b", "ab", "b", ""],
-        ["", "", "", "a", "b", ""]),
-    "tree def-only variable": (
-        lambda: tree_code([None, 1], [ins(2, defs="a")], {"a": 1}),
-        ["", "", "", "a"],
-        ["", "", "", "a"]),
-    "linear live-in variable with no use": (
-        lambda: linear_code(3, [ins(2, defs="b")], {"a": 1, "b": 1},
-                            livein={"a"}),
-        ["a", "", "", "b", "", ""],
-        ["", "", "", "b", "", ""]),
-    "tree live-in variable with no use": (
-        lambda: tree_code([None, 1], [ins(2, defs="b")], {"a": 1, "b": 1},
-                          livein={"a"}),
-        ["a", "", "", "b"],
-        ["", "", "", "b"]),
-}
+def _mask_rules_hold(inst):
+    """The two rules the solvers rely on, read off the masks: each live
+    range has one top along `up` (a sample where its variable is live
+    but not at the sample above), and a chad lies where its variable is
+    live."""
+    live, seen = inst.live_masks, 0
+    for lm, u in zip(live, inst.up):
+        tops = lm & ~(live[u] if u >= 0 else 0)
+        if tops & seen:
+            return False
+        seen |= tops
+    return all(cm & ~lm == 0 for lm, cm in zip(live, inst.chad_masks))
 
 
-# The problem construction records for each tolerated form: the guard
-# is narrower than validate(), and refuses only what solvers cannot trust.
-UNSOUND = {
-    "tree use outside the definition's subtree":
-        "chads where their variable is live; a has one at (2, def)",
-    "orphan point": "every point reached from the root; point 3 is not",
-}
+def assert_one_rule_set(inst):
+    """`problem` is None exactly when validate() finds nothing, and is
+    then its first line; an instance with no problem keeps the mask
+    rules."""
+    report = [str(v) for v in validate(inst)]
+    assert (inst.problem is None) == (report == [])
+    assert inst.problem == (report[0] if report else None)
+    if inst.problem is None:
+        assert _mask_rules_hold(inst)
 
 
 @pytest.mark.parametrize("form", sorted(TOLERATED))
@@ -298,8 +352,7 @@ def test_tolerated_malformed_code(form):
     assert spelled(inst.live_at) == live
     assert spelled(inst.chads_at) == chads
     assert inst.problem == UNSOUND.get(form)
-    if inst.problem:
-        assert validate(inst)
+    assert_one_rule_set(inst)
 
 
 def test_up_is_the_sample_tree():
@@ -349,11 +402,13 @@ SOLVERS = {
 @pytest.mark.parametrize("mode", [NOHOLES, HOLES])
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_every_solver_refuses_a_chad_where_nothing_is_live(name, mode):
-    inst = TOLERATED["tree use outside the definition's subtree"][0]()
-    with pytest.raises(MalformedCodeError, match=(
-            r"needs chads where their variable is live; a has one at "
-            r"\(2, def\)$")):
-        SOLVERS[name](inst, 0, mode)
+    """The tree form whose chad lies where nothing is live is refused, as
+    is every other tolerated form that is not strict SSA code."""
+    for form in sorted(UNSOUND):
+        inst = TOLERATED[form][0]()
+        with pytest.raises(MalformedCodeError, match=(
+                f"needs a valid instance; {re.escape(UNSOUND[form])}$")):
+            SOLVERS[name](inst, 0, mode)
 
 
 @st.composite
@@ -390,6 +445,23 @@ def _any_instance(draw):
                if shape == LINEAR else ())
     return Instance.from_code(shape, pts, instrs, weights, livein=livein,
                               liveout=liveout)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_any_instance())
+def test_problem_is_the_first_violation(inst):
+    assert_one_rule_set(inst)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_generated_codes_keep_one_rule_set(seed):
+    rng = seeded(seed)
+    for inst in (random_linear_ranges(rng, w_max=9), random_tree_ranges(rng),
+                 random_tree_code(rng), random_linear_code(rng, h=2),
+                 random_linear_block(rng, rng.randint(1, 40)),
+                 chain_tree_code(rng, rng.randint(1, 30))):
+        assert_one_rule_set(inst)
 
 
 @settings(max_examples=300, deadline=None)

@@ -438,5 +438,6 @@ def test_weights_not_positive_are_refused(name, weight):
          Instruction(3, frozenset({"c"}), frozenset())],
         {"a": 2, "b": weight, "c": 1})
     r = inst.omega - 1
-    with pytest.raises(MalformedCodeError, match=f"b weighs {weight}"):
+    with pytest.raises(MalformedCodeError,
+                       match=fr"\[weight\] b: weight {weight} is not > 0"):
         _WEIGHTED_SOLVERS[name](inst, r)

@@ -93,11 +93,12 @@ class TestExtraSetDp:
         with pytest.raises(MalformedCodeError):
             extra_set_dp(spanning_code(a), 1)
 
-    def test_no_samples_is_infeasible_without_witness(self):
+    def test_no_points_is_refused(self):
         inst = Instance.from_code(LINEAR, [], [], {})
-        with pytest.raises(InfeasibleError) as info:
+        with pytest.raises(MalformedCodeError, match=(
+                r"^extra_set_dp needs a valid instance; \[points\] "
+                "<instance>: instance has no points$")):
             extra_set_dp(inst, 1)
-        assert info.value.witness is None
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -230,8 +230,9 @@ def test_gapped_tree_range_is_refused(solve):
     # at k = 1 as feasible and proven
     inst = Instance.from_ranges(TREE, [Point(1), Point(2, 1), Point(3, 2)],
                                 {"v0": [1, 3], "v1": [3]}, {"v0": 1, "v1": 3})
-    with pytest.raises(MalformedCodeError,
-                       match="needs connected live ranges; v0 is live"):
+    with pytest.raises(MalformedCodeError, match=(
+            r"needs a valid instance; \[range\] v0: subtree range is not "
+            "connected")):
         solve(inst, 1)
 
 
