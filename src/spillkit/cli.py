@@ -73,8 +73,7 @@ def _pick_auto(inst, mode, form):
         return "dp-fit" if form == "few" else "bnb"
     if form == "few":
         return "dp-fit-holes"
-    if form == "omega" and inst.shape == LINEAR and inst.code_backed \
-            and inst.h <= HMAX:
+    if form == "omega" and inst.shape == LINEAR and inst.h <= HMAX:
         return "dp-extra"
     return "bnb"
 
@@ -146,14 +145,19 @@ def report_json(inst, sol):
 def _cmd_solve(args, out, err):
     inst = parse(_read(args.file))
     form, value = _parse_target(args.target)
-    if args.mode == HOLES and not inst.code_backed:
-        raise UnsupportedModeError(
-            "hole semantics need a code-backed instance")
+    inst.chads(args.mode)  # no hole semantics on a range instance
     r_val = _resolve_r(form, value, inst.omega)
     algo = args.algo
     if algo == "auto":
         algo = _pick_auto(inst, args.mode, form)
-    sol = _run_algo(algo, inst, args.mode, r_val)  # run() reports errors
+    try:
+        sol = _run_algo(algo, inst, args.mode, r_val)
+    except (InfeasibleError, BudgetExceededError) as exc:
+        # a DP that ends without an answer reports what bnb would
+        budget = isinstance(exc, BudgetExceededError)
+        err.write(f"{'budget exceeded' if budget else 'infeasible'}: {exc}\n")
+        sol = empty_solution(inst, args.mode, algo, feasible=False,
+                             proven=not budget)
     rep = report_json(inst, sol)
     _report(rep, out)
     if args.json:
@@ -305,12 +309,6 @@ def run(argv, out=None, err=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args, out, err)
-    except InfeasibleError as exc:
-        err.write(f"infeasible: {exc}\n")
-        return EXIT_INFEASIBLE
-    except BudgetExceededError as exc:
-        err.write(f"budget exceeded: {exc}\n")
-        return EXIT_BUDGET
     except (SpillkitError, ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import lcm
 from typing import Optional
 
@@ -35,7 +35,6 @@ HOLES = "holes"
 def check_mode(mode):
     if mode not in (NOHOLES, HOLES):
         raise ValueError(f"unknown pressure mode {mode!r}")
-    return mode
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class Instance:
     weight times `scale`, the lcm of the weights' denominators; spans[v]
     is the first and last sample at which v is live (absent if v is
     never live). The masks are the instance's only liveness tables;
-    live_at and chads_at decode them on access.
+    live_at and chads_at decode them; chads(mode) picks them by mode.
 
     Construction never raises on malformed input. It checks every rule
     of strict SSA code as it derives the tables, and records what breaks
@@ -308,7 +307,8 @@ class Instance:
             if first is None:
                 stray = set() if vid in livein else set(uses)
             elif block:
-                stray = {u for u in uses if pos.get(u, -1) <= pos[first]}
+                # a use at an unknown point is the [instr] rule's to report
+                stray = {u for u in uses if u in pos and pos[u] <= pos[first]}
             elif first != d:  # d is at an unknown point, listed first
                 stray = self._subtree(vid, first, uses)[3]
             if stray:
@@ -411,6 +411,20 @@ class Instance:
                 if first <= last:
                     runs.append((first, last))
         return rng, runs, top, stray
+
+    def chads(self, mode):
+        """Per sample, the chad mask `mode` counts: chad_masks with holes,
+        zeros without; the one refusal of holes on a range instance."""
+        check_mode(mode)
+        if mode == NOHOLES:
+            return self._no_chads
+        if not self.code_backed:
+            raise UnsupportedModeError("hole semantics need a code-backed instance")
+        return self.chad_masks
+
+    @cached_property
+    def _no_chads(self):
+        return (0,) * len(self.samples)
 
     def require_sound(self, what):
         """Raise MalformedCodeError naming `problem`, if there is one;
@@ -566,17 +580,13 @@ def validate(instance):
 
 def pressure(instance, spilled, mode):
     """Per-sample register pressure after spilling `spilled` under `mode`."""
-    check_mode(mode)
     spilled = frozenset(spilled)
     unknown = spilled.difference(instance.bit_of)
     if unknown:
         raise ValueError(f"unknown spilled variables: {sorted(unknown)}")
-    if mode == HOLES and not instance.code_backed:
-        raise UnsupportedModeError("hole semantics need a code-backed instance")
     s = sum(1 << instance.bit_of[v] for v in spilled)
-    chads = instance.chad_masks if mode == HOLES else repeat(0)
     values = tuple((lm & ~s).bit_count() + (cm & s).bit_count()
-                   for lm, cm in zip(instance.live_masks, chads))
+                   for lm, cm in zip(instance.live_masks, instance.chads(mode)))
     return PressureProfile(instance.samples, values, mode)
 
 

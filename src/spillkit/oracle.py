@@ -3,7 +3,8 @@
 Both accept every instance shape and both pressure modes; they are the
 reference the polynomial solvers are tested against. Like every solver,
 they refuse an instance that breaks a rule of strict SSA code
-(Instance.problem), and a negative register count. Infeasibility (a
+(Instance.problem), a negative register count, and hole semantics on a
+range instance (Instance.chads), all before they search. Infeasibility (a
 with-holes instance whose chad floor exceeds the target somewhere) is a
 first-class result, not an error.
 
@@ -30,14 +31,13 @@ set exists, dropping changes nothing.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice, repeat
+from itertools import islice
 from math import lcm
 from operator import itemgetter
 
 from . import kernel
 from .errors import SizeCapError
-from .model import (HOLES, bits, check_mode, empty_solution, pressure,
-                    spill_solution)
+from .model import HOLES, bits, empty_solution, pressure, spill_solution
 
 DEFAULT_CAP = 20
 DEFAULT_ALL_CAP = 100_000
@@ -49,12 +49,10 @@ def encode(instance, mode):
     standing for the i-th sorted id.
 
     Rows are the sorted, deduplicated (live mask, chad mask) pairs of the
-    samples, chad masks 0 without holes; identical pressure constraints
-    contribute nothing new to feasibility.
+    samples, chad masks as Instance.chads(mode) gives them; identical
+    pressure constraints contribute nothing new to feasibility.
     """
-    check_mode(mode)
-    chad = instance.chad_masks if mode == HOLES else repeat(0)
-    rows = sorted(set(zip(instance.live_masks, chad)))
+    rows = sorted(set(zip(instance.live_masks, instance.chads(mode))))
     return [lm for lm, _ in rows], [cm for _, cm in rows]
 
 
@@ -147,7 +145,6 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
     ValueError on r < 0.
     """
     instance.require_sound("branch_and_bound")
-    check_mode(mode)
     if r < 0:
         raise ValueError("register count r must be >= 0")
     n = instance.n_vars

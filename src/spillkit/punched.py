@@ -47,23 +47,21 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
     The solution's `steps` counts the states popped plus the candidate
     extensions tested.
 
-    Raises MalformedCodeError on an instance that is not sound
-    (Instance.problem), and InfeasibleError when no extra set within the
-    cap reaches the target. Its witness is the first sample no state
-    reaches.
+    Raises MalformedCodeError on an unsound instance (Instance.problem),
+    UnsupportedModeError on a range instance (Instance.chads), and
+    InfeasibleError when no extra set within the cap reaches the target,
+    with the first sample no state reaches as its witness.
     """
     instance.require_sound("extra_set_dp")
     if instance.shape != LINEAR:
         raise WrongShapeError("extra_set_dp handles linear codes only")
-    if not instance.code_backed:
-        raise WrongShapeError("extra_set_dp needs a code-backed instance")
     if k < 1:
         raise ValueError("decrement k must be >= 1")
+    live, chad = instance.live_masks, instance.chads(HOLES)
 
     omega = instance.omega
     r = omega - k
     cap = 2 * (instance.h + k)
-    live, chad = instance.live_masks, instance.chad_masks
     starts = run_starts(list(zip(live, chad)))  # a sound instance has points
     last = len(starts) - 1
 

@@ -382,11 +382,10 @@ def solve_certificate(cert: ReductionCertificate):
     bound run to proven optimality."""
     inst = cert.instance
     n = inst.n_vars
-    rows = len(set(zip(inst.live_masks, inst.chad_masks)))
+    rows = len(set(zip(inst.live_masks, inst.chads(cert.mode))))
     if n <= oracle.DEFAULT_CAP and (1 << n) * rows <= WORK_BUDGET:
         return oracle.brute_force(inst, cert.r, cert.mode), "brute"
-    if (inst.shape == LINEAR and cert.mode == HOLES
-            and inst.code_backed and cert.r < inst.omega):
+    if inst.shape == LINEAR and cert.mode == HOLES and cert.r < inst.omega:
         try:
             return extra_set_dp(inst, inst.omega - cert.r), "dp-extra"
         except InfeasibleError:

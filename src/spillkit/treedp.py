@@ -20,7 +20,7 @@ from functools import cache
 from itertools import combinations
 from math import comb
 
-from .errors import BudgetExceededError, InfeasibleError, UnsupportedModeError
+from .errors import BudgetExceededError, InfeasibleError
 from .model import (HOLES, NOHOLES, bits, empty_solution, pressure,
                     spill_solution)
 
@@ -52,19 +52,18 @@ def _solve_fitting(instance, k, holes, state_budget):
     instance.require_sound(what)
     if k < 0:
         raise ValueError("register count k must be >= 0")
-    if holes and not instance.code_backed:
-        raise UnsupportedModeError(f"{what} needs a code-backed instance (chads)")
     mode = HOLES if holes else NOHOLES
+    chad = instance.chads(mode)
     algo = "dp-fit-holes" if holes else "dp-fit"
 
     if instance.omega <= k:
         return empty_solution(instance, mode, algo)
 
-    if holes:
-        for (pt, mom), chads in zip(instance.samples, instance.chad_masks):
-            if chads.bit_count() > k:
+    if holes:  # the chad floor
+        for (pt, mom), ch in zip(instance.samples, chad):
+            if ch.bit_count() > k:
                 raise InfeasibleError(
-                    f"even the full spill leaves pressure {chads.bit_count()} > {k} "
+                    f"even the full spill leaves pressure {ch.bit_count()} > {k} "
                     f"at point {pt} ({mom} moment)", witness=(pt, mom))
 
     live = instance.live_masks
@@ -107,7 +106,7 @@ def _solve_fitting(instance, k, holes, state_budget):
             table = {key | g: cost + wg for key, cost in table.items()
                      for part in by_size[:k + 1 - key.bit_count()]
                      for g, wg in part}
-        if holes and (ch := instance.chad_masks[i]):
+        if ch := chad[i]:
             table = {f: cost for f, cost in table.items()
                      if f.bit_count() + (ch & ~f).bit_count() <= k}
         steps += len(table)
@@ -121,11 +120,8 @@ def _solve_fitting(instance, k, holes, state_budget):
             steps += len(table)
             table = {f: cost + e for f, cost in table.items()
                      if (e := extra.get(f & lc)) is not None}
-        if not table:
-            pt, mom = instance.samples[i]
-            raise InfeasibleError(
-                f"no fitting set admits a consistent completion at point {pt} "
-                f"({mom} moment)", witness=(pt, mom))
+        # never empty: past the chad floor, kept mask 0 fits every sample
+        # and is in every child's table, so it survives each step
         tables[i] = table
 
     kept = 0

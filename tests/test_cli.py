@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from spillkit.cli import ALGOS, run
-from spillkit.fileformat import parse
-from spillkit.reductions import GraphInstance, gen_indepset_h1
+from spillkit.fileformat import parse, parse_source
+from spillkit.reductions import gen_indepset_h1, gen_x3c
 
 BELADY_W = """format spill-v1
 kind ranges
@@ -33,6 +33,23 @@ livein x,y
 instr 1 uses x,y defs -
 var x weight 1
 var y weight 1
+"""
+
+# 30 variables live at one point: at r = 15 the fitting-set DP charges
+# more than its default budget of 10**7 candidate sets at the first sample
+WIDE = "format spill-v1\nkind ranges\npoint 1\n" + "".join(
+    f"var v{i:02d} weight 1 span 1..1\n" for i in range(30))
+
+# omega 3: targets below it reach the solver
+THREE = """format spill-v1
+kind linear
+point 1
+point 2
+livein a,b,c
+instr 2 uses a,b,c defs -
+var a weight 1
+var b weight 1
+var c weight 2
 """
 
 
@@ -98,24 +115,51 @@ class TestSolve:
                            "--algo", "brute", str(f))
         assert code == 2
 
-    @pytest.mark.parametrize("text, argv, code, report", [
+    @pytest.mark.parametrize("text, argv, code, report, err", [
         (BELADY_W.replace("weight 1 span 1..5", "weight 3/2 span 1..5"),
          ("--target", "r=1", "--mode", "noholes", "--algo", "flow"), 0,
          "instance: shape=linear m=10 n=3 omega=2 h=0\n"
          "solution: spilled=b,c cost=5/2 omega_prime=1 feasible=yes "
          "proven_optimal=yes\n"
-         "solver: algo=flow steps=3 budget_hit=no\n"),
+         "solver: algo=flow steps=3 budget_hit=no\n", ""),
         (INFEASIBLE, ("--target", "r=1", "--mode", "holes", "--algo", "brute"),
          2,
          "instance: shape=linear m=1 n=2 omega=2 h=2\n"
          "solution: spilled=- cost=- omega_prime=- feasible=no "
          "proven_optimal=yes\n"
-         "solver: algo=brute steps=1 budget_hit=no\n"),
-    ], ids=["feasible", "infeasible"])
-    def test_text_report_is_pinned(self, text, argv, code, report, tmp_path):
+         "solver: algo=brute steps=1 budget_hit=no\n", ""),
+        (INFEASIBLE, ("--target", "r=1", "--mode", "holes",
+                      "--algo", "dp-fit-holes"), 2,
+         "instance: shape=linear m=1 n=2 omega=2 h=2\n"
+         "solution: spilled=- cost=- omega_prime=- feasible=no "
+         "proven_optimal=yes\n"
+         "solver: algo=dp-fit-holes steps=0 budget_hit=no\n",
+         "infeasible: even the full spill leaves pressure 2 > 1 at point 1 "
+         "(use moment)\n"),
+        (WIDE, ("--target", "r=15", "--mode", "noholes", "--algo", "dp-fit"),
+         3,
+         "instance: shape=linear m=1 n=30 omega=30 h=0\n"
+         "solution: spilled=- cost=- omega_prime=- feasible=no "
+         "proven_optimal=no\n"
+         "solver: algo=dp-fit steps=0 budget_hit=yes\n",
+         "budget exceeded: fitting-set DP exceeded its budget of 10000000 "
+         "candidate sets; use weighted_optimal for linear instances or the "
+         "exact oracle\n"),
+    ], ids=["feasible", "infeasible", "dp-infeasible", "dp-over-budget"])
+    def test_text_report_is_pinned(self, text, argv, code, report, err,
+                                   tmp_path):
+        """Every outcome writes one report, as text and as JSON, and the
+        exit code follows it; a DP's reason goes to stderr."""
         f = tmp_path / "code.spill"
         f.write_text(text)
-        assert cli("solve", *argv, str(f)) == (code, report, "")
+        jpath = tmp_path / "rep.json"
+        assert cli("solve", *argv, "--json", str(jpath), str(f)) == (
+            code, report, err)
+        rep = json.loads(jpath.read_text())
+        assert {f"{section}.{k}" for section in rep for k in rep[section]} \
+            == report_fields(report).keys()
+        assert rep["solution"]["feasible"] == (code == 0)
+        assert rep["solver"]["budget_hit"] == (code == 3)
 
     def test_usage_errors(self, belady_file):
         code, _, err = cli("solve", "--target", "bogus", "--mode", "noholes",
@@ -123,7 +167,8 @@ class TestSolve:
         assert code == 1
         code, _, err = cli("solve", "--target", "r=1", "--mode", "holes",
                            belady_file)
-        assert code == 1 and "code-backed" in err
+        assert (code, err) == (
+            1, "error: hole semantics need a code-backed instance\n")
 
     def test_argparse_output_goes_to_the_given_streams(self, capsys):
         code, out, err = cli("solve", "--mode", "holes")
@@ -155,21 +200,28 @@ class TestSolve:
 def test_negative_target_is_a_usage_error(algo, target, tmp_path):
     # omega is 3, so omega-5 resolves to r = -2
     f = tmp_path / "code.spill"
-    f.write_text("""format spill-v1
-kind linear
-point 1
-point 2
-livein a,b,c
-instr 2 uses a,b,c defs -
-var a weight 1
-var b weight 1
-var c weight 2
-""")
+    f.write_text(THREE)
     mode = "holes" if algo in ("dp-fit-holes", "dp-extra") else "noholes"
     code, out, err = cli("solve", "--target", target, "--mode", mode,
                          "--algo", algo, str(f))
     assert code == 1 and out == ""
     assert err.startswith("error: target resolves to r = -")
+
+
+@pytest.mark.parametrize("algo, mode, target, message", [
+    ("dp-cover", "holes", "omega-1", "dp-cover is defined without holes"),
+    ("dp-fit", "holes", "r=1", "dp-fit is the without-holes DP; "
+                               "use dp-fit-holes"),
+    ("dp-fit-holes", "noholes", "r=1", "dp-fit-holes needs --mode holes"),
+    ("dp-extra", "noholes", "omega-1", "dp-extra needs --mode holes"),
+    ("auto", "noholes", "omega-0", "omega-k needs k >= 1"),
+])
+def test_refused_requests_are_usage_errors(algo, mode, target, message,
+                                           tmp_path):
+    f = tmp_path / "code.spill"
+    f.write_text(THREE)
+    assert cli("solve", "--target", target, "--mode", mode, "--algo", algo,
+               str(f)) == (1, "", f"error: {message}\n")
 
 
 class TestAutoDispatch:
@@ -363,22 +415,41 @@ var b weight 1
 
 
 class TestGen:
-    def test_emits_instance_and_certificate(self, tmp_path):
+    @staticmethod
+    def generated(tmp_path, reduction, source, generate):
+        """gen's instance and certificate file, checked against what
+        `generate` makes of the source."""
         src = tmp_path / "g.src"
-        src.write_text("source indepset\nvertices u,v,w\nedge u v\nedge v w\n"
-                       "bound 2\n")
+        src.write_text(source)
         out_path = str(tmp_path / "g.spill")
-        code, out, _ = cli("gen", "--reduction", "indepset1", "--out",
+        code, out, _ = cli("gen", "--reduction", reduction, "--out",
                            out_path, str(src))
         assert code == 0
         inst = parse(Path(out_path).read_text())
         cert = json.loads(Path(out_path + ".cert.json").read_text())
-        expected = gen_indepset_h1(
-            GraphInstance(("u", "v", "w"), (("u", "v"), ("v", "w")), 2))
+        expected = generate(parse_source(source)[1])
         assert inst == expected.instance
-        assert cert["params"]["alpha"] == expected.params["alpha"]
-        assert cert["r"] == expected.r
-        assert set(cert["roles"]) == set(expected.roles)
+        assert cert["kind"] == expected.kind and cert["K"] == str(expected.K)
+        assert cert["params"] == expected.params
+        assert cert["r"] == expected.r and cert["mode"] == expected.mode
+        assert cert["roles"] == expected.roles
+        return cert
+
+    def test_emits_instance_and_certificate(self, tmp_path):
+        cert = self.generated(
+            tmp_path, "indepset1",
+            "source indepset\nvertices u,v,w\nedge u v\nedge v w\nbound 2\n",
+            gen_indepset_h1)
+        assert cert["params"]["alpha"] > 0
+
+    def test_emits_an_x3c_instance(self, tmp_path):
+        cert = self.generated(
+            tmp_path, "x3c",
+            "source x3c\nelements e1,e2,e3,e4,e5,e6\ntriple e1,e2,e3\n"
+            "triple e4,e5,e6\ntriple e3,e4,e5\n", gen_x3c)
+        assert cert["source"]["triples"] == [["e1", "e2", "e3"],
+                                             ["e4", "e5", "e6"],
+                                             ["e3", "e4", "e5"]]
 
     def test_source_kind_mismatch(self, tmp_path):
         src = tmp_path / "g.src"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spillkit import kernel, oracle
 from spillkit.errors import (MalformedCodeError, ParseError, SpillkitError,
                              UnsupportedModeError)
 from spillkit.fileformat import parse, serialize
@@ -123,6 +124,24 @@ TOLERATED = {
                             {"a": 1}),
         ["", "a", "a", "", "", ""],
         ["", "a", "a", "", "", ""]),
+    # a and b are defined by two instructions at point 1
+    "two instructions at one point": (
+        lambda: linear_code(2, [ins(1, defs="a"), ins(1, defs="b"),
+                                ins(2, "ab")], {"a": 1, "b": 1}),
+        ["", "ab", "ab", ""],
+        ["", "ab", "ab", ""]),
+    # parse refuses a parent on a block point before construction sees it
+    "linear point with a parent": (
+        lambda: Instance.from_code(LINEAR, [Point(1), Point(2, 1)],
+                                   [ins(1, defs="a"), ins(2, "a")], {"a": 1}),
+        ["", "a", "a", ""],
+        ["", "a", "a", ""]),
+    # neither a block nor a tree: the points are read as a tree
+    "unknown shape": (
+        lambda: Instance.from_code("dag", [Point(1), Point(2, 1)],
+                                   [ins(1, defs="a"), ins(2, "a")], {"a": 1}),
+        ["", "a", "a", ""],
+        ["", "a", "a", ""]),
 }
 
 
@@ -141,6 +160,11 @@ UNSOUND = {
     "defined live-in variable": "[ssa] a: live-in variable must not be defined",
     "instruction at an unknown point":
         "[chad] a: chad at point 9 lies outside the range",
+    "two instructions at one point":
+        "[instr] point 1: multiple instructions at one point",
+    "linear point with a parent":
+        "[shape] point 2: linear code points take no parent",
+    "unknown shape": "[shape] <instance>: unknown shape 'dag'",
 }
 
 
@@ -409,6 +433,42 @@ def test_every_solver_refuses_a_chad_where_nothing_is_live(name, mode):
         with pytest.raises(MalformedCodeError, match=(
                 f"needs a valid instance; {re.escape(UNSOUND[form])}$")):
             SOLVERS[name](inst, 0, mode)
+
+
+def test_chads_per_mode():
+    """chads(mode) is chad_masks with holes and zeros without, each the
+    same sequence on every call; a mode it does not know is refused."""
+    inst = TOLERATED["linear use before def"][0]()
+    assert inst.chads(HOLES) is inst.chad_masks
+    assert inst.chads(NOHOLES) == (0,) * len(inst.samples)
+    assert inst.chads(NOHOLES) is inst.chads(NOHOLES)
+    with pytest.raises(ValueError, match="^unknown pressure mode 'both'$"):
+        inst.chads("both")
+
+
+def test_hole_semantics_need_a_code_backed_instance(monkeypatch):
+    """A range instance has no chads: pressure, verify and every solver
+    that takes holes refuse it with the one error chads(HOLES) raises,
+    and the exact oracles do so before they search."""
+    def searched(*args):
+        raise AssertionError("searched a range instance under holes")
+
+    monkeypatch.setattr(kernel, "sweep", searched)
+    monkeypatch.setattr(kernel, "sweep_all", searched)
+    monkeypatch.setattr(oracle, "_dominated", searched)
+    # 20 variables, the brute-force cap, one live at each point
+    inst = Instance.from_ranges(LINEAR, [Point(p) for p in range(1, 21)],
+                                {f"v{p:02d}": [p] for p in range(1, 21)},
+                                {f"v{p:02d}": 1 for p in range(1, 21)})
+    calls = [lambda: inst.chads(HOLES), lambda: pressure(inst, (), HOLES),
+             lambda: verify(inst, (), 0, HOLES)]
+    calls += [lambda solve=SOLVERS[name]: solve(inst, 0, HOLES)
+              for name in ("dp-fit-holes", "dp-extra", "bnb", "brute",
+                           "brute-all")]
+    for call in calls:
+        with pytest.raises(UnsupportedModeError, match=(
+                "^hole semantics need a code-backed instance$")):
+            call()
 
 
 @st.composite

@@ -6,6 +6,7 @@ from spillkit.errors import (
     BudgetExceededError,
     InfeasibleError,
     MalformedCodeError,
+    UnsupportedModeError,
     WrongShapeError,
 )
 from spillkit.model import (
@@ -109,8 +110,10 @@ class TestExtraSetDp:
                                     {"a": [1, 2]}, {"a": 1})
         with pytest.raises(WrongShapeError):
             extra_set_dp(tree, 1)
+        # a range instance has no chads to count
         rngs = Instance.from_ranges(LINEAR, [Point(1)], {"a": [1]}, {"a": 1})
-        with pytest.raises(WrongShapeError):
+        with pytest.raises(UnsupportedModeError, match=(
+                "^hole semantics need a code-backed instance$")):
             extra_set_dp(rngs, 1)
 
     def test_matches_brute_all_regimes(self):

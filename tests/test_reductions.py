@@ -161,6 +161,13 @@ class TestMapBack:
         sol = brute_force(cert.instance, cert.r, cert.mode)
         assert map_back(cert, sol) == fs({t1})
 
+    def test_mincover_members(self):
+        # only {b1} and {b2, b3} cover b1, b2, b3 with two members
+        family = (fs({"b1"}), fs({"b2", "b3"}), fs({"b1", "b2"}))
+        cert = gen_mincover(CoverInstance(("b1", "b2", "b3"), family, 2))
+        sol = brute_force(cert.instance, cert.r, cert.mode)
+        assert map_back(cert, sol) == {family[0], family[1]}
+
     def test_indepset2_vertex(self):
         cert = gen_indepset_h2(triangle(1))
         sol = brute_force(cert.instance, cert.r, cert.mode)
