@@ -78,7 +78,18 @@ def _pick_auto(inst, mode, form):
     return "bnb"
 
 
+# --algo -> the one mode it solves, and its refusal of the other
+_ONE_MODE = {
+    "dp-cover": (NOHOLES, "dp-cover is defined without holes"),
+    "dp-fit": (NOHOLES, "dp-fit is the without-holes DP; use dp-fit-holes"),
+    "dp-fit-holes": (HOLES, "dp-fit-holes needs --mode holes"),
+    "dp-extra": (HOLES, "dp-extra needs --mode holes"),
+}
+
+
 def _run_algo(algo, inst, mode, r_val):
+    if algo in _ONE_MODE and _ONE_MODE[algo][0] != mode:
+        raise UnsupportedModeError(_ONE_MODE[algo][1])
     if r_val >= inst.omega:
         return empty_solution(inst, mode, algo)
     if algo == "greedy":
@@ -89,21 +100,12 @@ def _run_algo(algo, inst, mode, r_val):
         if r_val != inst.omega - 1:
             raise UnsupportedModeError(
                 "dp-cover solves exactly the omega-1 target")
-        if mode != NOHOLES:
-            raise UnsupportedModeError("dp-cover is defined without holes")
         return incremental_cover_dp(inst, mode)
     if algo == "dp-fit":
-        if mode != NOHOLES:
-            raise UnsupportedModeError("dp-fit is the without-holes DP; "
-                                       "use dp-fit-holes")
         return fitting_set_dp(inst, r_val)
     if algo == "dp-fit-holes":
-        if mode != HOLES:
-            raise UnsupportedModeError("dp-fit-holes needs --mode holes")
         return fitting_set_dp_holes(inst, r_val)
     if algo == "dp-extra":
-        if mode != HOLES:
-            raise UnsupportedModeError("dp-extra needs --mode holes")
         return extra_set_dp(inst, inst.omega - r_val)
     if algo == "bnb":
         return oracle.branch_and_bound(inst, r_val, mode)

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from math import lcm
 from typing import Optional
 
@@ -195,46 +195,69 @@ class Instance:
         one run, from the definition (or the block entry for live-in, or
         the first use) to the last use (or the exit for live-out).
 
-        This is the one pass that checks the rules: it appends to `found`
-        each variable's weight, range, chad and connectivity violations
-        before it yields the variable, and after the last one the
-        violations of the instructions (instr, ssa, livein/liveout) and
-        of dominance. It sets h, the most uses or definitions at one
-        instruction."""
+        It checks the rules as it goes. The one scan of the instructions
+        sets h, the most uses or definitions at one instruction, and keeps
+        their violations (instr, ssa) in instruction order. The loop over
+        the variables appends to `found` each variable's weight, range,
+        chad and connectivity violations before it yields the variable;
+        after the last one come the scan's violations, those of live-in
+        and live-out, and those of dominance."""
         pos = self.point_pos
         bad = lambda code, subject, detail: found.append(
             Violation(code, subject, detail))
         block, livein, liveout = self.shape == LINEAR, self.livein, self.liveout
         code_backed, instrs = self.code_backed, self.instructions or ()
-        def_at = {}  # var -> its first definition
+        declared = frozenset(self.var_ids)
+        rules = []  # the instr and ssa violations, in instruction order
+        rule = lambda code, subject, detail: rules.append(
+            Violation(code, subject, detail))
+        def_of = {}  # var -> its first definition at a known point
+        off = {}  # var -> its first definition, if at an unknown point
         uses_at = defaultdict(list)  # var -> use points, in instruction order
-        ats = set()
-        n_defs = h = 0
+        seen = set()  # the points of the instructions so far
+        known = True  # every instruction is at a known point
+        h = 0
         for ins in instrs:
             at, uses, defs = ins.at, ins.uses, ins.defs
-            ats.add(at)
-            for v in defs:
-                def_at.setdefault(v, at)
             for v in uses:
                 uses_at[v].append(at)
-            n_defs += len(defs)
-            h = max(h, len(uses), len(defs))
+            nu, nd = len(uses), len(defs)
+            if nu > h or nd > h:
+                h = max(nu, nd)
+            if at not in pos:
+                rule("instr", f"point {at}", "instruction at unknown point")
+                known = False
+                for v in defs:
+                    if v not in def_of:
+                        off.setdefault(v, at)
+                continue
+            if at in seen:
+                rule("instr", f"point {at}", "multiple instructions at one point")
+            seen.add(at)
+            if nu and nd and not uses.isdisjoint(defs):
+                rule("instr", f"point {at}",
+                     f"uses and defs overlap: {sorted(uses & defs)}")
+            if not (uses <= declared and defs <= declared):
+                for v in sorted((uses | defs) - declared):
+                    rule("instr", f"point {at}", f"undeclared variable {v}")
+            for v in defs:
+                if v in def_of or v in livein:
+                    # an ssa violation: check the defs not yet written, in
+                    # sorted order (those before v are written and sound)
+                    done = takewhile(v.__ne__, defs)
+                    for u in sorted(defs.difference(done)):
+                        if u in def_of:
+                            rule("ssa", u,
+                                 f"defined at {def_of[u]} and again at {at}")
+                        else:
+                            def_of[u] = at
+                        if u in livein:
+                            rule("ssa", u, "live-in variable must not be defined")
+                    break
+                def_of[v] = at
         self.h = h
-        known = not ats.difference(pos)
-        # var -> its first definition at a known point: read backwards,
-        # the last one written
-        def_of = def_at if known else {
-            v: ins.at for ins in reversed(instrs) if ins.at in pos
-            for v in ins.defs}
-        # False only if no instruction rule can fail; a use at its own
-        # definition shows in the variables' runs below
-        shady = not (known and len(ats) == len(instrs)
-                     and n_defs == len(def_at)
-                     and all(map(self.bit_of.__contains__, def_at))
-                     and all(map(self.bit_of.__contains__, uses_at))
-                     and livein.isdisjoint(def_at)
-                     and not (livein | liveout).difference(self.bit_of)
-                     and not (liveout and self.shape == TREE))
+        # var -> its first definition, wherever it is
+        def_at = {**def_of, **off} if off else def_of
 
         doubt = {}  # var -> the points of its uses that break dominance
         last = len(self.samples) - 1
@@ -277,7 +300,6 @@ class Instance:
                 if clean and (known or len(ups) == len(uses)):
                     yield vid, chads, runs
                     continue
-                shady = True
                 # the points of the run; a repeated point id may lie on
                 # both sides of an end
                 lo, hi = runs[0] if runs else (0, -1)
@@ -301,16 +323,18 @@ class Instance:
                 elif (sum(self.parent_of[p] not in rng for p in rng) != 1
                       if stray else self.parent_of[top] in rng):
                     bad("range", vid, "subtree range is not connected")
-                shady = shady or d in uses
-            # the uses that break dominance
+            # the uses that break dominance; past a known definition, a use
+            # at an unknown point is the [instr] rule's to report
             first = def_of.get(vid)
             if first is None:
                 stray = set() if vid in livein else set(uses)
             elif block:
-                # a use at an unknown point is the [instr] rule's to report
                 stray = {u for u in uses if u in pos and pos[u] <= pos[first]}
-            elif first != d:  # d is at an unknown point, listed first
-                stray = self._subtree(vid, first, uses)[3]
+            else:
+                if first != d:  # d is at an unknown point, listed first
+                    stray = self._subtree(vid, first, uses)[3]
+                if not known:
+                    stray = {u for u in stray if u in pos}
             if stray:
                 doubt[vid] = stray
             yield vid, chads, runs
@@ -320,8 +344,11 @@ class Instance:
                 bad("livein/liveout", "<instance>",
                     "range instances take no livein/liveout")
             return
-        if shady:
-            self._instruction_rules(bad)
+        found += rules
+        for v in sorted((livein | liveout) - declared):
+            bad("livein/liveout", v, "undeclared variable")
+        if liveout and self.shape == TREE:
+            bad("liveout", "<instance>", "liveout is only defined for linear codes")
         for ins in instrs if doubt else ():
             for v in sorted(ins.uses) if len(ins.uses) > 1 else ins.uses:
                 if ins.at not in doubt.get(v, ()):
@@ -333,38 +360,6 @@ class Instance:
                     f"use at {ins.at} precedes definition at {d}" if block
                     else f"use at {ins.at} is outside the subtree of "
                          f"definition {d}")
-
-    def _instruction_rules(self, bad):
-        """Call bad(code, subject, detail) for each violation of the rules
-        on the instructions of a code, live-in and live-out, in order."""
-        pos, livein, liveout = self.point_pos, self.livein, self.liveout
-        names = self.bit_of.keys()
-        def_of = {}
-        seen_at = set()
-        for ins in self.instructions:
-            at, uses, defs = ins.at, ins.uses, ins.defs
-            if at not in pos:
-                bad("instr", f"point {at}", "instruction at unknown point")
-                continue
-            if at in seen_at:
-                bad("instr", f"point {at}", "multiple instructions at one point")
-            seen_at.add(at)
-            if not uses.isdisjoint(defs):
-                bad("instr", f"point {at}",
-                    f"uses and defs overlap: {sorted(uses & defs)}")
-            for v in sorted((uses | defs) - names):
-                bad("instr", f"point {at}", f"undeclared variable {v}")
-            for v in sorted(defs):
-                if v in def_of:
-                    bad("ssa", v, f"defined at {def_of[v]} and again at {at}")
-                else:
-                    def_of[v] = at
-                if v in livein:
-                    bad("ssa", v, "live-in variable must not be defined")
-        for v in sorted((livein | liveout) - names):
-            bad("livein/liveout", v, "undeclared variable")
-        if liveout and self.shape == TREE:
-            bad("liveout", "<instance>", "liveout is only defined for linear codes")
 
     def _subtree(self, vid, d, uses):
         """(range points, live sample runs, top, stray uses) of one

@@ -188,9 +188,12 @@ class TestSolve:
                            str(f))
         assert code == 1 and "nonsense" in err
 
-    def test_trivial_target(self, belady_file):
-        code, out, _ = cli("solve", "--target", "r=5", "--mode", "noholes",
-                           "--algo", "dp-extra", belady_file)
+    def test_trivial_target(self, tmp_path):
+        # omega is 3, so r=5 needs no spill
+        f = tmp_path / "code.spill"
+        f.write_text(THREE)
+        code, out, _ = cli("solve", "--target", "r=5", "--mode", "holes",
+                           "--algo", "dp-extra", str(f))
         assert code == 0
         assert report_fields(out)["solution.spilled"] == "-"
 
@@ -211,6 +214,9 @@ def test_negative_target_is_a_usage_error(algo, target, tmp_path):
 @pytest.mark.parametrize("algo, mode, target, message", [
     ("dp-cover", "holes", "omega-1", "dp-cover is defined without holes"),
     ("dp-fit", "holes", "r=1", "dp-fit is the without-holes DP; "
+                               "use dp-fit-holes"),
+    # omega is 3: the mode is checked before the r >= omega shortcut
+    ("dp-fit", "holes", "r=5", "dp-fit is the without-holes DP; "
                                "use dp-fit-holes"),
     ("dp-fit-holes", "noholes", "r=1", "dp-fit-holes needs --mode holes"),
     ("dp-extra", "noholes", "omega-1", "dp-extra needs --mode holes"),

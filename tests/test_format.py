@@ -107,6 +107,22 @@ class TestParse:
             inst = parse(text)
         assert inst.n_vars == m and inst.spans["v1"][0] == 0
 
+    def test_invalid_code_parses_in_linear_time(self):
+        # 30,000 points and variables, and one undeclared live-in name: on
+        # 2 vCPUs a second scan of the instructions that subtracted the
+        # declared names from each one took 1.9 s at 10,000 points
+        m = 30_000
+        text = "\n".join(
+            ["format spill-v1", "kind linear"]
+            + [f"point {p}" for p in range(1, m + 1)]
+            + ["livein ghost", "instr 1 uses - defs v1"]
+            + [f"instr {p} uses v{p - 1} defs v{p}" for p in range(2, m + 1)]
+            + [f"var v{p} weight 1" for p in range(1, m + 1)])
+        with within(5.0):
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+        assert "[livein/liveout] ghost: undeclared variable" in str(exc.value)
+
 
 class TestSerialize:
     def test_deterministic(self):

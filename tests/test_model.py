@@ -195,6 +195,15 @@ class TestValidate:
         inst = Instance.from_code(TREE, pts, instrs, {"a": 1})
         assert any(v.code == "dominance" for v in validate(inst))
 
+    def test_use_at_an_unknown_point_is_reported_once(self):
+        # [instr] reports the point; dominance reads the uses at known ones
+        instrs = [ins(1, defs="a"), ins(9, "a")]
+        for inst in (linear_code(2, instrs, {"a": 1}),
+                     tree_code([None, 1], instrs, {"a": 1})):
+            assert [str(v) for v in validate(inst)
+                    if v.code in ("instr", "dominance")] == [
+                "[instr] point 9: instruction at unknown point"]
+
     def test_gap_in_linear_range_reported(self):
         inst = Instance.from_ranges(LINEAR, [Point(p) for p in (1, 2, 3)],
                                     {"a": [1, 3]}, {"a": 1})
