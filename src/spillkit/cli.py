@@ -66,14 +66,15 @@ def _resolve_r(form, value, omega):
 
 def _pick_auto(inst, mode, form):
     """Algorithm-selection matrix: the polynomial algorithm of the regime
-    when one exists, branch-and-bound otherwise."""
+    when one exists, branch-and-bound otherwise. An r=N and an omega-K
+    target that resolve to the same r pick the same algorithm."""
     if mode == NOHOLES:
         if inst.shape == LINEAR:
             return "greedy" if inst.unweighted() else "flow"
         return "dp-fit" if form == "few" else "bnb"
     if form == "few":
         return "dp-fit-holes"
-    if form == "omega" and inst.shape == LINEAR and inst.h <= HMAX:
+    if inst.shape == LINEAR and inst.h <= HMAX:
         return "dp-extra"
     return "bnb"
 

@@ -323,11 +323,11 @@ class Instance:
                 elif (sum(self.parent_of[p] not in rng for p in rng) != 1
                       if stray else self.parent_of[top] in rng):
                     bad("range", vid, "subtree range is not connected")
-            # the uses that break dominance; past a known definition, a use
-            # at an unknown point is the [instr] rule's to report
+            # the uses that break dominance; a use at an unknown point is
+            # the [instr] rule's to report
             first = def_of.get(vid)
             if first is None:
-                stray = set() if vid in livein else set(uses)
+                stray = set() if vid in livein else {u for u in uses if u in pos}
             elif block:
                 stray = {u for u in uses if u in pos and pos[u] <= pos[first]}
             else:

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from spillkit.cli import ALGOS, run
-from spillkit.fileformat import parse, parse_source
+from spillkit.fileformat import parse, parse_source, serialize
 from spillkit.reductions import gen_indepset_h1, gen_x3c
+
+from builders import random_linear_code, seeded
 
 BELADY_W = """format spill-v1
 kind ranges
@@ -276,6 +278,28 @@ var b weight 2
 """)
         _, out, _ = cli("solve", "--target", "omega-1", "--mode", "holes", str(f))
         assert report_fields(out)["solver.algo"] == "dp-extra"
+
+    def test_holes_r_and_omega_targets_agree(self, tmp_path):
+        # r=k and omega-(omega-k) are one target: same algorithm, same answer
+        rng = seeded(41)
+        f = tmp_path / "c.spill"
+        seen = set()
+        for _ in range(12):
+            inst = random_linear_code(rng, rng.choice((1, 2)), n_max=8, m_max=10)
+            f.write_text(serialize(inst))
+            for k in range(inst.omega):
+                got = []
+                for target in (f"r={k}", f"omega-{inst.omega - k}"):
+                    code, out, _ = cli("solve", "--target", target,
+                                       "--mode", "holes", str(f))
+                    fields = report_fields(out)
+                    got.append((code, fields["solver.algo"],
+                                fields["solution.cost"],
+                                fields["solution.proven_optimal"]))
+                assert got[0] == got[1]
+                assert got[0][1] == "dp-extra"
+                seen.add(got[0][0])
+        assert seen == {0, 2}  # feasible and infeasible targets both met
 
     def test_holes_unbounded_h_goes_bnb(self, tmp_path):
         # a cover-style instance with h = 3 exceeds cli.HMAX, 2

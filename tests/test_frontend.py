@@ -90,7 +90,7 @@ def _off_the_points():
 
 
 def test_codes_off_their_points_are_pinned():
-    assert _digest(_pinned(_off_the_points())) == "88ab50c281e31100"
+    assert _digest(_pinned(_off_the_points())) == "84fdb9807f4e4f4b"
 
 
 def test_tolerated_forms_are_pinned():

@@ -204,6 +204,19 @@ class TestValidate:
                     if v.code in ("instr", "dominance")] == [
                 "[instr] point 9: instruction at unknown point"]
 
+    @pytest.mark.parametrize("instrs", [
+        [ins(9, "a")], [ins(7, defs="a"), ins(9, "a")]])
+    @pytest.mark.parametrize("shape", [LINEAR, TREE])
+    def test_undefined_use_at_an_unknown_point_is_reported_once(
+            self, shape, instrs):
+        # without a definition at a known point, dominance still reads
+        # only the uses at known points
+        inst = (linear_code(2, instrs, {"a": 1}) if shape == LINEAR
+                else tree_code([None, 1], instrs, {"a": 1}))
+        assert [str(v) for v in validate(inst) if v.code == "dominance"] == []
+        assert "[instr] point 9: instruction at unknown point" in [
+            str(v) for v in validate(inst)]
+
     def test_gap_in_linear_range_reported(self):
         inst = Instance.from_ranges(LINEAR, [Point(p) for p in (1, 2, 3)],
                                     {"a": [1, 3]}, {"a": 1})

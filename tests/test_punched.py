@@ -21,7 +21,7 @@ from spillkit.model import (
 from spillkit.oracle import brute_force, brute_force_all, verify
 from spillkit.punched import extra_set_dp
 from spillkit.reductions import gen_indepset_h1
-from spillkit.sweeps import graph_instance
+from spillkit.sweeps import graph_instance, graphs_upto
 
 from builders import random_linear_code, seeded, within
 
@@ -81,13 +81,70 @@ class TestExtraSetDp:
 
     def test_search_stops_at_the_optimum(self):
         # the h = 1 gadget of the 6-cycle with bound 3: enumerating every
-        # extra set of every column takes 32,751 steps
+        # extra set of every column takes 32,751 steps, a cost-ordered
+        # search that stops at every column 4,887
         g = graph_instance(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)), 3)
         cert = gen_indepset_h1(g)
         sol = extra_set_dp(cert.instance, cert.instance.omega - cert.r)
         assert sol.cost == 45
-        assert sol.steps < 10_000
+        assert sol.steps < 1_000
         assert verify(cert.instance, sol.spilled, cert.r, HOLES) == []
+
+    def test_infeasible_inside_a_walked_run(self):
+        # e is born at (1, def); no variable is born at (2, use) or at
+        # (3, use), where a and b are chads and only c, d and e relieve:
+        # a state walks (2, use) and fails at (3, use), the witness
+        fs = frozenset
+        inst = Instance.from_code(
+            LINEAR, [Point(p) for p in range(1, 6)],
+            [Instruction(1, fs(), fs({"e"})),
+             Instruction(3, fs({"a", "b"}), fs()),
+             Instruction(5, fs({"e"}), fs())],
+            dict.fromkeys("abcde", 1),
+            livein={"a", "b", "c", "d"}, liveout={"c", "d"})
+        assert inst.omega == 5
+        with pytest.raises(InfeasibleError) as exc:
+            extra_set_dp(inst, 4)
+        assert exc.value.witness == (3, "use")
+        assert extra_set_dp(inst, 3).cost == 4  # a, c, d and e
+
+    def test_long_block(self):
+        # 10,000 points, each defining one variable that the point two
+        # further on uses: the search and the bound run without recursion,
+        # and the budget still caps their work
+        m = 10_000
+        inst = Instance.from_code(
+            LINEAR, [Point(p) for p in range(1, m + 1)],
+            [Instruction(p, frozenset({f"v{p - 2}"} if p > 2 else ()),
+                         frozenset({f"v{p}"})) for p in range(1, m + 1)],
+            {f"v{p}": p % 7 + 1 for p in range(1, m + 1)},
+            liveout={f"v{m - 1}", f"v{m}"})
+        assert (inst.h, inst.omega) == (1, 2)
+        sol = extra_set_dp(inst, 1)
+        assert sol.cost == 39_993 and sol.achieved_omega == 1
+        with within(1.0), pytest.raises(BudgetExceededError):
+            extra_set_dp(inst, 1, state_budget=50)
+
+    def test_steps_stay_low_on_indepset_gadgets(self):
+        # a work gate that does not depend on timing: on a seeded,
+        # size-spread sample of the h = 1 gadgets of graphs_upto(6) this
+        # search takes 22,869 steps, a cost-ordered search that stops at
+        # every column 195,236; the gate is about 1.5 times the former
+        graphs = sorted(
+            (graph_instance(n, edges, bound) for n, edges in graphs_upto(6)
+             for bound in range(1, n + 1)),
+            key=lambda g: (len(g.vertices), len(g.edges), g.bound))
+        rng = seeded(61)
+        stride = len(graphs) / 60
+        total = 0
+        for i in range(60):
+            cert = gen_indepset_h1(graphs[int(i * stride + rng.random() * stride)])
+            inst = cert.instance
+            try:
+                total += extra_set_dp(inst, inst.omega - cert.r).steps
+            except InfeasibleError:
+                pass
+        assert total < 34_000
 
     @pytest.mark.parametrize("a", [-3, 0])
     def test_refuses_weights_not_positive(self, a):
