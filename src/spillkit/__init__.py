@@ -3,7 +3,8 @@
 Linear codes (basic blocks) and dominance-tree codes, with or without
 hole semantics at spilled definitions and uses. Polynomial solvers where
 they exist (greedy furthest-use, min-cost flow, three dynamic programs),
-exact oracles for the NP-complete regimes, and generators realizing the
+exact oracles for the NP-complete regimes, the register assignment that
+follows a spill (`assign`, a tree scan), and generators realizing the
 classic hardness reductions for adversarial testing.
 """
 
@@ -33,8 +34,7 @@ from .model import (
     PressureProfile,
     SpillSolution,
     Violation,
-    interference_graph,
-    is_chordal,
+    assign,
     pressure,
     validate,
 )
@@ -68,7 +68,7 @@ __all__ = [
     "DEF", "HOLES", "LINEAR", "NOHOLES", "TREE", "USE",
     "Instance", "Instruction", "Point", "PressureProfile",
     "SpillSolution", "Violation",
-    "interference_graph", "is_chordal", "pressure", "validate",
+    "assign", "pressure", "validate",
     "branch_and_bound", "brute_force", "brute_force_all", "verify",
     "extra_set_dp",
     "CheckResult", "CoverInstance", "GraphInstance", "MapBackError",

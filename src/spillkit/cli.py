@@ -19,17 +19,10 @@ from .errors import (
 from .fileformat import parse, parse_source, serialize
 from .intervals import greedy_furthest, incremental_cover_dp, weighted_optimal
 # validate is unused here, but perfbench/spans.py wraps cli.validate
-from .model import (HOLES, LINEAR, NOHOLES, empty_solution, is_chordal,
+from .model import (HOLES, LINEAR, NOHOLES, assign, empty_solution,
                     pressure, validate)
 from .punched import extra_set_dp
-from .reductions import (
-    MINCOVER,
-    X3C,
-    gen_indepset_h1,
-    gen_indepset_h2,
-    gen_mincover,
-    gen_x3c,
-)
+from .reductions import _GENERATORS, INDEPSET1, INDEPSET2, MINCOVER, X3C
 from .treedp import fitting_set_dp, fitting_set_dp_holes
 
 EXIT_OK = 0
@@ -131,10 +124,14 @@ def _report(rep, out):
             f"{k}={_text(v)}" for k, v in fields.items()) + "\n")
 
 
+def _instance_json(inst):
+    return {"shape": inst.shape, "m": inst.n_points, "n": inst.n_vars,
+            "omega": inst.omega, "h": inst.h}
+
+
 def report_json(inst, sol):
     return {
-        "instance": {"shape": inst.shape, "m": inst.n_points,
-                     "n": inst.n_vars, "omega": inst.omega, "h": inst.h},
+        "instance": _instance_json(inst),
         "solution": {"spilled": sorted(sol.spilled),
                      "cost": None if sol.cost is None else str(sol.cost),
                      "omega_prime": sol.achieved_omega,
@@ -175,17 +172,14 @@ def _cmd_solve(args, out, err):
 
 
 def _cmd_check(args, out, err):
-    if args.solution and args.target is None:
-        raise ValueError("--solution needs --target")
-    if args.solution and args.mode is None:
-        raise ValueError("--solution needs --mode")
+    for flag in ("target", "mode"):
+        if (getattr(args, flag) is None) == bool(args.solution):
+            raise ValueError(f"--solution needs --{flag}" if args.solution
+                             else f"--{flag} needs --solution")
     inst = parse(_read(args.file))  # raises ParseError on any violation
-    _, order = is_chordal(inst)
-    out.write("chordal: yes\n")
-    out.write(f"elimination-order: {','.join(order) if order else '-'}\n")
+    _report({"instance": _instance_json(inst)}, out)
     if args.solution:
-        with open(args.solution) as fh:
-            rep = json.load(fh)
+        rep = json.loads(_read(args.solution))
         try:
             spilled = rep["solution"]["spilled"]
         except (KeyError, TypeError):
@@ -193,8 +187,7 @@ def _cmd_check(args, out, err):
         if not (isinstance(spilled, list)
                 and all(isinstance(v, str) for v in spilled)):
             raise ValueError(f"{args.solution} has no solution.spilled list")
-        form, value = _parse_target(args.target)
-        r_val = _resolve_r(form, value, inst.omega)
+        r_val = _resolve_r(*_parse_target(args.target), inst.omega)
         bad = oracle.verify(inst, set(spilled), r_val, args.mode)
         if bad:
             for p, m, val in bad:
@@ -202,22 +195,25 @@ def _cmd_check(args, out, err):
                           f"pressure {val} > {r_val}\n")
             return EXIT_INFEASIBLE
         out.write(f"solution-ok: pressure <= {r_val} everywhere\n")
+        regs = assign(inst, spilled, args.mode)  # chads as id@point:moment
+        out.write(f"registers: {len(set(regs.values()))}" + "".join(
+            f" {k if isinstance(k, str) else '%s@%s:%s' % k}={reg}"
+            for k, reg in regs.items()) + "\n")
     return EXIT_OK
 
 
-# --reduction -> (the source kind it reads, its generator)
-_GEN = {"x3c": ("x3c", gen_x3c), "mincover": ("mincover", gen_mincover),
-        "indepset2": ("indepset", gen_indepset_h2),
-        "indepset1": ("indepset", gen_indepset_h1)}
+# --reduction -> the source kind it reads
+_SOURCE_KIND = {X3C: "x3c", MINCOVER: "mincover", INDEPSET2: "indepset",
+                INDEPSET1: "indepset"}
 
 
 def _cmd_gen(args, out, err):
     kind, src = parse_source(_read(args.source))
-    want, generator = _GEN[args.reduction]
+    want = _SOURCE_KIND[args.reduction]
     if kind != want:
         raise ParseError(f"--reduction {args.reduction} needs a {want} "
                          f"source, got {kind}")
-    cert = generator(src)
+    cert = _GENERATORS[args.reduction](src)
     with open(args.out, "w") as fh:
         fh.write(serialize(cert.instance))
     sidecar = args.out + ".cert.json"
@@ -277,7 +273,8 @@ def build_parser():
     sp.add_argument("--json", help="write a machine-readable report here")
     sp.add_argument("file")
 
-    cp = sub.add_parser("check", help="validate an instance, test chordality")
+    cp = sub.add_parser("check", help="validate an instance; verify a "
+                        "--solution and assign its registers")
     cp.add_argument("--solution", help="JSON report whose spill set to verify")
     cp.add_argument("--target", help="target for --solution verification")
     cp.add_argument("--mode", choices=(HOLES, NOHOLES),
@@ -286,7 +283,7 @@ def build_parser():
 
     gp = sub.add_parser("gen", help="generate a hardness-reduction instance")
     gp.add_argument("--reduction", required=True,
-                    choices=tuple(_GEN))
+                    choices=tuple(_GENERATORS))
     gp.add_argument("--out", required=True, help="instance output path")
     gp.add_argument("source")
 

@@ -163,18 +163,11 @@ def parse(text):
         raise ParseError("empty input: missing format record", 1)
     if kind is None:
         raise ParseError("missing kind record", 1)
-    if not points:
-        raise ParseError("instance declares no points", 1)
     if dup_var:
         raise ParseError(f"duplicate var {dup_var[1]}", dup_var[0])
 
     if kind in ("linear", "tree"):
         shape = LINEAR if kind == "linear" else TREE
-        if kind == "linear":
-            for p in points:
-                if p.parent is not None:
-                    raise ParseError("linear points take no parent",
-                                     point_lines[p.id])
         if trailers:
             raise ParseError("span/points only appear in ranges instances",
                              var_lines[next(iter(trailers))])

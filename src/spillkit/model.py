@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, takewhile
+from itertools import accumulate, count, filterfalse, takewhile
 from math import lcm
 from typing import Optional
 
@@ -575,14 +575,19 @@ def validate(instance):
 
 def pressure(instance, spilled, mode):
     """Per-sample register pressure after spilling `spilled` under `mode`."""
+    s = _mask(instance, spilled)
+    values = tuple((lm & ~s).bit_count() + (cm & s).bit_count()
+                   for lm, cm in zip(instance.live_masks, instance.chads(mode)))
+    return PressureProfile(instance.samples, values, mode)
+
+
+def _mask(instance, spilled):
+    """The bit mask of the ids in `spilled`; ValueError on an unknown id."""
     spilled = frozenset(spilled)
     unknown = spilled.difference(instance.bit_of)
     if unknown:
         raise ValueError(f"unknown spilled variables: {sorted(unknown)}")
-    s = sum(1 << instance.bit_of[v] for v in spilled)
-    values = tuple((lm & ~s).bit_count() + (cm & s).bit_count()
-                   for lm, cm in zip(instance.live_masks, instance.chads(mode)))
-    return PressureProfile(instance.samples, values, mode)
+    return sum(1 << instance.bit_of[v] for v in spilled)
 
 
 def empty_solution(instance, mode, algorithm, steps=0, feasible=True,
@@ -610,26 +615,30 @@ def spill_solution(instance, spilled, profile, algorithm, steps, proven=True):
     )
 
 
-def interference_graph(instance):
-    """Adjacency sets: edge iff two live ranges share a sample point."""
-    near = [0] * instance.n_vars  # per bit: the bits live alongside it
-    for m in set(instance.live_masks):
-        for b in bits(m):
-            near[b] |= m
-    return {v: set(instance.decode(near[b] & ~(1 << b)))
-            for b, v in enumerate(instance.var_ids)}
-
-
-def is_chordal(instance):
-    """(True, a perfect elimination order of the interference graph), on
-    a sound instance; raises MalformedCodeError on an unsound one.
-
-    Sound ranges are connected subtrees of one tree, so the graph is
-    chordal (Gavril 1974). Samples follow the block or the tree's
-    preorder, so a range's first sample is its top, and a neighbour that
-    starts no later contains that top. Hence the order: the variables by
-    first sample, latest first (spans is in var_ids order and the sort is
-    stable); a sound instance has no empty range."""
-    instance.require_sound("is_chordal")
-    spans = instance.spans
-    return True, sorted(spans, key=lambda v: spans[v][0], reverse=True)
+def assign(instance, spilled, mode):
+    """The second phase: after spilling `spilled`, a register from 0 up
+    for each kept variable (keyed by id) and each chad `mode` counts on a
+    spilled one (keyed by (id, point, moment)). A scan in preorder gives
+    each, at its first sample, the lowest register nothing there holds.
+    Sound ranges are connected subtrees of one tree (Gavril 1974; Hack,
+    Grund & Goos 2006), so a neighbour that starts no later contains the
+    top: the scan reversed is a perfect elimination order, and it uses
+    exactly `pressure(instance, spilled, mode).max_pressure` registers.
+    Unsound instances are refused, as are holes on a range instance."""
+    instance.require_sound("assign")
+    s = _mask(instance, spilled)
+    born = defaultdict(int)  # sample -> the kept variables that start there
+    for v, (first, _) in instance.spans.items():
+        born[first] |= (1 << instance.bit_of[v]) & ~s
+    ids, out = instance.var_ids, {}
+    for i, (lm, cm) in enumerate(zip(instance.live_masks,
+                                     instance.chads(mode))):
+        new, cut = born.get(i, 0), cm & s
+        if new or cut:
+            taken = {out[ids[b]] for b in bits(lm & ~s) if ids[b] in out}
+            free = filterfalse(taken.__contains__, count())
+            for b in bits(new):
+                out[ids[b]] = next(free)
+            for b in bits(cut):
+                out[(ids[b], *instance.samples[i])] = next(free)
+    return out

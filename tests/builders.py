@@ -5,10 +5,8 @@ import signal
 from contextlib import contextmanager
 from itertools import combinations
 
-import networkx as nx
-
-from spillkit.model import (LINEAR, TREE, Instance, Instruction, Point,
-                            interference_graph, is_chordal, validate)
+from spillkit.model import (HOLES, LINEAR, TREE, Instance, Instruction,
+                            Point, assign, pressure, validate)
 
 
 def random_linear_ranges(rng, n_max=12, m_max=20, w_max=1):
@@ -229,18 +227,26 @@ def chain_tree_code(rng, m, wide=False, h=2, depth=6, branch=0.2):
     return inst
 
 
-def assert_chordal_witness(inst):
-    """is_chordal's witness lists every variable once, and each one's
-    neighbours later in it are pairwise adjacent in the interference
-    graph, which networkx also finds chordal."""
-    adj = interference_graph(inst)
-    ok, order = is_chordal(inst)
-    assert ok and nx.is_chordal(nx.Graph(adj))
-    pos = {v: i for i, v in enumerate(order)}
-    assert sorted(order) == sorted(adj)
-    for v in order:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        assert all(b in adj[a] for a, b in combinations(later, 2)), (inst, v)
+def assert_registers(inst, spilled, mode):
+    """assign's registers, checked pairwise against the decoded liveness:
+    each kept variable and each chad `mode` counts on a spilled one has a
+    register, no two of those present at one sample share one, and the
+    registers are 0 .. max_pressure - 1, each used. Returns their count."""
+    regs = assign(inst, spilled, mode)
+    chads = inst.chads_at if mode == HOLES else [()] * len(inst.samples)
+    present = set()
+    most = 0
+    for (p, m), live, chad in zip(inst.samples, inst.live_at, chads):
+        here = [v for v in live if v not in spilled]
+        here += [(v, p, m) for v in chad if v in spilled]
+        for a, b in combinations(here, 2):
+            assert regs[a] != regs[b], (inst, a, b)
+        present.update(here)
+        most = max(most, len(here))
+    assert regs.keys() == present, inst
+    assert most == pressure(inst, spilled, mode).max_pressure
+    assert set(regs.values()) == set(range(most)), inst
+    return most
 
 
 def seeded(seed):

@@ -28,7 +28,6 @@ from spillkit.model import (
     Instance,
     Point,
     empty_solution,
-    is_chordal,
     pressure,
 )
 from spillkit.oracle import branch_and_bound, brute_force, brute_force_all
@@ -45,6 +44,7 @@ from spillkit.sweeps import cover_sources, graph_instance, graphs_upto, x3c_sour
 from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
 from builders import (
+    assert_registers,
     random_linear_code,
     random_linear_ranges,
     random_tree_code,
@@ -301,7 +301,8 @@ def test_c10_model_invariants_and_roundtrips():
         punched = pressure(inst, spilled, HOLES).values
         for lo, hi in zip(bare, punched):
             assert lo <= hi <= lo + inst.h
-        assert is_chordal(inst)[0]
+        for mode in (NOHOLES, HOLES):
+            assert_registers(inst, spilled, mode)
         pairs += 1
     # byte-stable round-trips: fixtures and every sweep-generated instance
     # (deduplicated: a cover source generates one instance for all bounds)
@@ -362,6 +363,8 @@ def test_c11_oracle_agreement():
         assert got.proven_optimal
         if got.feasible != feasible or (feasible and got.cost != cost):
             disagreements += 1
+        if got.feasible:
+            assert assert_registers(inst, got.spilled, mode) <= r
     assert disagreements == 0
     _passed(f"C11 oracle agreement over {len(registry)} brute-forceable "
             "cases")

@@ -359,7 +359,11 @@ var c weight 5
 class TestCheck:
     def test_clean_instance(self, belady_file):
         code, out, _ = cli("check", belady_file)
-        assert code == 0 and "chordal: yes" in out
+        assert code == 0
+        _, solve_out, _ = cli("solve", "--target", "r=1", "--mode", "noholes",
+                              belady_file)
+        assert out == solve_out.splitlines(keepends=True)[0]
+        assert out.startswith("instance: shape=linear ")
 
     def test_broken_instance(self, tmp_path):
         f = tmp_path / "bad.spill"
@@ -381,10 +385,32 @@ var a weight 1
         code, out, _ = cli("check", "--solution", jpath, "--target", "r=1",
                            "--mode", "noholes", belady_file)
         assert code == 0 and "solution-ok" in out
+        regs = out.splitlines()[-1].split()
+        assert regs[:2] == ["registers:", "1"]
         # same solution fails a tighter target
         code, out, _ = cli("check", "--solution", jpath, "--target", "r=0",
                            "--mode", "noholes", belady_file)
         assert code == 2 and "over-pressure" in out
+        assert "registers:" not in out
+
+    @pytest.mark.parametrize("flag,value", [("--target", "r=1"),
+                                            ("--mode", "noholes")])
+    def test_flag_without_solution(self, belady_file, flag, value):
+        code, out, err = cli("check", flag, value, belady_file)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} needs --solution\n"
+
+    def test_registers_of_chads(self, tmp_path):
+        f = tmp_path / "chad.spill"
+        f.write_text("format spill-v1\nkind linear\npoint 1\npoint 2\n"
+                     "livein a,b\ninstr 2 uses a,b defs -\n"
+                     "var a weight 1\nvar b weight 1\n")
+        rep = tmp_path / "rep.json"
+        rep.write_text('{"solution": {"spilled": ["a"]}}')
+        code, out, _ = cli("check", "--solution", str(rep), "--target", "r=2",
+                           "--mode", "holes", str(f))
+        assert code == 0
+        assert out.splitlines()[-1] == "registers: 2 b=0 a@2:use=1"
 
     def test_solution_without_target(self, belady_file, tmp_path):
         jpath = str(tmp_path / "rep.json")

@@ -85,6 +85,24 @@ class TestParse:
         with pytest.raises(ParseError):
             parse(MINIMAL.replace("point 1\n", "point 1\npoint 1\n"))
 
+    def test_parented_point_on_a_linear_block(self):
+        # construction's shape rule, reported at the point's record
+        text = CODE.replace("point 2\n", "point 2 parent 1\n")
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == (
+            "line 4: invalid instance (1 problem(s)); first: [shape] "
+            "point 2: linear code points take no parent")
+        assert exc.value.line == 4
+
+    def test_no_points(self):
+        # construction's points rule, reported at line 1
+        with pytest.raises(ParseError) as exc:
+            parse("format spill-v1\nkind linear\n")
+        assert str(exc.value) == (
+            "line 1: invalid instance (1 problem(s)); first: [points] "
+            "<instance>: instance has no points")
+
     def test_validate_violations_surface(self):
         text = ("format spill-v1\nkind linear\npoint 1\npoint 2\n"
                 "instr 1 uses - defs a\ninstr 2 uses - defs a\n"

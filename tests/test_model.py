@@ -21,8 +21,7 @@ from spillkit.model import (
     Instance,
     Instruction,
     Point,
-    interference_graph,
-    is_chordal,
+    assign,
     pressure,
     run_starts,
     validate,
@@ -32,7 +31,7 @@ from spillkit.oracle import (branch_and_bound, brute_force, brute_force_all,
 from spillkit.punched import extra_set_dp
 from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
-from builders import (assert_chordal_witness, chain_tree_code,
+from builders import (assert_registers, chain_tree_code,
                       random_linear_block, random_linear_code,
                       random_linear_ranges, random_tree_code,
                       random_tree_ranges, seeded, within)
@@ -304,17 +303,20 @@ class TestPressure:
 
 
 class TestChordal:
+    """Chordality shown by colouring: assign's tree scan gives every
+    answer exactly max_pressure registers, checked pairwise."""
+
     def test_tree_codes_are_chordal(self):
         rng = seeded(301)
         for _ in range(25):
-            ok, order = is_chordal(random_tree_code(rng))
-            assert ok and order is not None
+            inst = random_tree_code(rng)
+            assert assert_registers(inst, (), NOHOLES) == inst.omega
 
     def test_linear_codes_are_chordal(self):
         rng = seeded(302)
         for _ in range(25):
-            ok, _ = is_chordal(random_linear_code(rng, h=1))
-            assert ok
+            inst = random_linear_code(rng, h=1)
+            assert assert_registers(inst, (), NOHOLES) == inst.omega
 
     def test_witness_is_a_peo(self):
         rng = seeded(303)
@@ -324,15 +326,57 @@ class TestChordal:
                      lambda: random_tree_code(rng),
                      lambda: random_linear_code(rng, h=rng.choice((1, 2, 3)))):
             for _ in range(40):
-                assert_chordal_witness(make())
+                assert_registers(make(), (), NOHOLES)
 
     @pytest.mark.parametrize("name", sorted(UNSOUND))
     def test_unsound_instances_are_refused(self, name):
         inst = TOLERATED[name][0]()
         with pytest.raises(MalformedCodeError, match=(
-                f"^is_chordal needs a valid instance; "
+                f"^assign needs a valid instance; "
                 f"{re.escape(UNSOUND[name])}$")):
-            is_chordal(inst)
+            assign(inst, (), NOHOLES)
+
+    def test_siblings_share_a_register(self):
+        # a covers points 1 and 3, b point 2; 2 and 3 are children of 1, so
+        # b lies inside a's preorder span but never meets a
+        pts = [Point(1), Point(2, 1), Point(3, 1)]
+        inst = Instance.from_ranges(TREE, pts, {"a": [1, 3], "b": [2]},
+                                    {"a": 1, "b": 1})
+        assert assign(inst, (), NOHOLES) == {"a": 0, "b": 0}
+
+    def test_chads_take_registers_at_their_samples(self):
+        inst = linear_code(3, [ins(1, defs="ab"), ins(2, "a"), ins(3, "b")],
+                           {"a": 1, "b": 1})
+        assert assign(inst, (), HOLES) == {"a": 0, "b": 1}
+        assert assign(inst, "a", NOHOLES) == {"b": 0}
+        assert assign(inst, "a", HOLES) == {
+            "b": 0, ("a", 1, DEF): 1, ("a", 2, USE): 1}
+        assert assign(inst, "ab", HOLES) == {
+            ("a", 1, DEF): 0, ("b", 1, DEF): 1, ("a", 2, USE): 0,
+            ("b", 3, USE): 0}
+
+    def test_refusals(self):
+        inst = Instance.from_ranges(LINEAR, [Point(1)], {"a": [1]}, {"a": 1})
+        with pytest.raises(UnsupportedModeError):
+            assign(inst, (), HOLES)
+        with pytest.raises(ValueError, match="unknown spilled variables"):
+            assign(inst, {"zz"}, NOHOLES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_assign_uses_exactly_max_pressure_registers(seed):
+    """On every builder family, in each mode it defines, with a random
+    spill set, assign's registers pass the pairwise check."""
+    rng = seeded(seed)
+    for inst in (random_linear_ranges(rng, w_max=9), random_tree_ranges(rng),
+                 random_linear_block(rng, rng.randint(1, 40)),
+                 random_tree_code(rng),
+                 random_linear_code(rng, h=rng.choice((1, 2, 3))),
+                 chain_tree_code(rng, rng.randint(1, 30))):
+        spilled = {v for v in inst.var_ids if rng.random() < 0.4}
+        for mode in (NOHOLES, HOLES) if inst.code_backed else (NOHOLES,):
+            assert_registers(inst, spilled, mode)
 
 
 @settings(max_examples=40, deadline=None)
@@ -552,7 +596,8 @@ def test_every_entry_ends_in_a_result_or_a_spillkit_error(inst, data):
     """On any instance construction accepts, every solver and operation
     returns or raises a SpillkitError, and no solver reports a proven
     feasible solution above its target. Sound instances are solved."""
-    for call in (lambda: interference_graph(inst), lambda: is_chordal(inst),
+    for call in (lambda: assign(inst, (), NOHOLES),
+                 lambda: assign(inst, (), HOLES),
                  lambda: pressure(inst, (), HOLES)):
         try:
             call()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spillkit.model import HOLES, NOHOLES, is_chordal, pressure, validate
+from spillkit.model import HOLES, NOHOLES, pressure, validate
 from spillkit.oracle import brute_force
 from spillkit.reductions import (
     INDEPSET1,
@@ -25,7 +25,7 @@ from spillkit.reductions import (
     map_back,
 )
 
-from builders import assert_chordal_witness
+from builders import assert_registers
 
 fs = frozenset
 
@@ -47,7 +47,7 @@ class TestGenX3C:
         prof = pressure(cert.instance, set(), NOHOLES)
         assert set(prof.values) == {3}
         assert validate(cert.instance) == []
-        assert is_chordal(cert.instance)[0]
+        assert assert_registers(cert.instance, (), NOHOLES) == 3
 
     def test_repeated_triples_accepted(self):
         t = fs({"e1", "e2", "e3"})
@@ -237,7 +237,8 @@ def test_generated_instances_validate_and_are_chordal():
     ]
     for cert in sources:
         assert validate(cert.instance) == []
-        assert_chordal_witness(cert.instance)
+        for spilled in ((), cert.instance.var_ids[::2]):
+            assert_registers(cert.instance, spilled, cert.mode)
 
 
 def test_sweep_generated_instances_validate_and_are_chordal():
@@ -258,7 +259,8 @@ def test_sweep_generated_instances_validate_and_are_chordal():
     assert len(certs) > 40
     for cert in certs:
         assert validate(cert.instance) == [], cert.kind
-        assert_chordal_witness(cert.instance)
+        for spilled in ((), cert.instance.var_ids[::2]):
+            assert_registers(cert.instance, spilled, cert.mode)
 
 
 def test_result_keeps_the_source_not_the_instance():
