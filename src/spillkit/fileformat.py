@@ -54,8 +54,6 @@ def _weight(tok, line):
             w = int(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {tok!r}", line) from None
-    if w <= 0:
-        raise ParseError(f"weight must be positive, got {tok}", line)
     return w
 
 
@@ -192,8 +190,6 @@ def parse(text):
                     raise ParseError("span is for linear ranges; use points", line)
                 lo, hi = span
                 cover = ids[bisect_left(ids, lo):bisect_right(ids, hi)]
-                if not cover:
-                    raise ParseError(f"span {lo}..{hi} covers no points", line)
             elif pts is not None:
                 cover = pts
             else:

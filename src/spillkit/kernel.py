@@ -25,7 +25,7 @@ from .errors import SizeCapError
 IMPLEMENTATION = "pure"
 # A search that finds nothing feasible visits all 2^n subsets and holds
 # many of them in its heap at once, so larger searches are refused up front.
-MAX_VARS = 24
+MAX_VARS = 20
 
 
 def _by_cost(n, weights):

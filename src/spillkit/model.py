@@ -96,15 +96,17 @@ class Instance:
     weights, omega, h) are frozen. Bit i of a mask stands for var_ids[i],
     the sorted ids, and bit_of[var_ids[i]] is i; int_weights[i] is its
     weight times `scale`, the lcm of the weights' denominators; spans[v]
-    is the first and last sample at which v is live (absent if v is
-    never live). The masks are the instance's only liveness tables;
-    live_at and chads_at decode them; chads(mode) picks them by mode.
+    is the first and last sample at which v is live. The masks are the
+    instance's only liveness tables; live_at and chads_at decode them;
+    chads(mode) picks them by mode.
 
     Construction never raises on malformed input. It checks every rule
     of strict SSA code as it derives the tables, and records what breaks
     them in `violations` (what validate() returns), in a fixed order;
-    `problem` is the first of them as text, or None. Every solver calls
-    require_sound() first.
+    `problem` is the first of them as text, or None. An instance with a
+    problem keeps its records, samples, up and h but no liveness: its
+    masks are zero, omega is 0 and spans is empty. Every solver, and
+    pressure, calls require_sound() first.
 
     The samples form one tree, a chain on a block: up[i] is the sample
     just above sample i, -1 at the root and where a point's parent is
@@ -151,7 +153,7 @@ class Instance:
         flips = [0] * (len(self.samples) + 1)
         count = [0] * (len(self.samples) + 1)
         chad = [0] * len(self.samples)
-        spans = self.spans = {}
+        spans = {}
         for i, (vid, chads, runs) in enumerate(self._derive(found)):
             bit = 1 << i
             for a, b in runs:
@@ -159,15 +161,19 @@ class Instance:
                 flips[b + 1] ^= bit
                 count[a] += 1
                 count[b + 1] -= 1
-            if runs:
-                spans[vid] = runs[0] if len(runs) == 1 else (min(runs)[0], max(runs)[1])
+            spans[vid] = runs[0] if len(runs) == 1 else (min(runs)[0], max(runs)[1])
             for c in chads:
                 chad[c] |= bit
+        self.violations = tuple(found)
+        self.problem = str(found[0]) if found else None
+        if found:  # code that breaks a rule has no liveness
+            self.spans, self.omega = {}, 0
+            self.live_masks = self.chad_masks = (0,) * len(self.samples)
+            return
+        self.spans = spans
         self.live_masks = tuple(accumulate(flips[:-1], int.__xor__))
         self.chad_masks = tuple(chad)
         self.omega = max(accumulate(count[:-1]), default=0)
-        self.violations = tuple(found)
-        self.problem = str(found[0]) if found else None
 
     # -- construction -------------------------------------------------
 
@@ -190,18 +196,23 @@ class Instance:
         return cls(shape, points, weights, ranges=ranges)
 
     def _derive(self, found):
-        """(id, chad samples, live sample runs) per variable, in var_ids
-        order; runs are disjoint (first, last) pairs. A block variable has
-        one run, from the definition (or the block entry for live-in, or
-        the first use) to the last use (or the exit for live-out).
+        """(id, chad samples, live sample runs) of each variable, in var_ids
+        order, until a rule is found broken; runs are disjoint (first,
+        last) pairs. A block variable has one run, from the definition (or
+        the block entry for live-in) to the last use (or the exit for
+        live-out); a tree variable's runs cover the walks from its uses up
+        to its definition (or the root for live-in).
 
-        It checks the rules as it goes. The one scan of the instructions
-        sets h, the most uses or definitions at one instruction, and keeps
-        their violations (instr, ssa) in instruction order. The loop over
-        the variables appends to `found` each variable's weight, range,
-        chad and connectivity violations before it yields the variable;
-        after the last one come the scan's violations, those of live-in
-        and live-out, and those of dominance."""
+        Every rule is a check on positions it already has. The one scan
+        of the instructions sets h, the most uses or definitions at one
+        instruction, keeps their violations (instr, ssa) in instruction
+        order, and records the uses and definitions at known points. The
+        loop over the variables appends to `found` each variable's weight
+        and range violations; after the last one come the scan's
+        violations, those of live-in and live-out, and those of dominance.
+        A definition dominates the uses after it on a block and those in
+        its preorder interval on a tree; live-in, every use. So a tree
+        walk runs only on sound points, and needs no guards."""
         pos = self.point_pos
         bad = lambda code, subject, detail: found.append(
             Violation(code, subject, detail))
@@ -211,26 +222,20 @@ class Instance:
         rules = []  # the instr and ssa violations, in instruction order
         rule = lambda code, subject, detail: rules.append(
             Violation(code, subject, detail))
-        def_of = {}  # var -> its first definition at a known point
-        off = {}  # var -> its first definition, if at an unknown point
+        def_of = {}  # var -> its first definition
         uses_at = defaultdict(list)  # var -> use points, in instruction order
         seen = set()  # the points of the instructions so far
-        known = True  # every instruction is at a known point
         h = 0
         for ins in instrs:
             at, uses, defs = ins.at, ins.uses, ins.defs
-            for v in uses:
-                uses_at[v].append(at)
             nu, nd = len(uses), len(defs)
             if nu > h or nd > h:
                 h = max(nu, nd)
             if at not in pos:
                 rule("instr", f"point {at}", "instruction at unknown point")
-                known = False
-                for v in defs:
-                    if v not in def_of:
-                        off.setdefault(v, at)
                 continue
+            for v in uses:
+                uses_at[v].append(at)
             if at in seen:
                 rule("instr", f"point {at}", "multiple instructions at one point")
             seen.add(at)
@@ -256,11 +261,16 @@ class Instance:
                     break
                 def_of[v] = at
         self.h = h
-        # var -> its first definition, wherever it is
-        def_at = {**def_of, **off} if off else def_of
 
         doubt = {}  # var -> the points of its uses that break dominance
         last = len(self.samples) - 1
+        if code_backed and not block:
+            # end[i]: the last preorder position in point i's subtree
+            end = list(range(len(pos)))
+            for i in range(len(pos) - 1, 0, -1):
+                j = pos.get(self.parent_of[self.point_order[i]])
+                if j is not None and end[i] > end[j]:
+                    end[j] = end[i]
         for vid, w in zip(self.var_ids, self.int_weights):
             if w <= 0:
                 bad("weight", vid, f"weight {Fraction(w, self.scale)} is not > 0")
@@ -276,68 +286,37 @@ class Instance:
                         bad("range", vid, "subtree range is not connected")
                 elif max(runs)[0] - min(runs)[0] != 2 * len(runs) - 2:
                     bad("range", vid, "interval range is not contiguous")
-                yield vid, (), runs
+                if not found:
+                    yield vid, (), runs
                 continue
-            d, uses = def_at.get(vid), uses_at.get(vid, ())
-            ups = ([2 * pos[u] for u in uses] if known
-                   else [2 * pos[u] for u in uses if u in pos])
-            chads = ups + [2 * pos[d] + 1] if d in pos else ups
+            d, uses = def_of.get(vid), uses_at.get(vid, ())
+            ups = [2 * pos[u] for u in uses]
+            if d is not None:
+                # s0 is (d, DEF); it dominates the use samples [lo, hi]:
+                # those after it on a block, those in d's subtree on a tree
+                s0 = 2 * pos[d] + 1
+                if block:
+                    lo, hi = s0 + 1, last
+                else:
+                    lo, hi = s0 - 1, 2 * end[s0 // 2]
+                if ups and not lo <= min(ups) <= max(ups) <= hi:
+                    doubt[vid] = {u for u, s in zip(uses, ups)
+                                  if not lo <= s <= hi}
+            elif vid in livein:
+                s0 = 0
+            elif ups:  # never defined
+                doubt[vid] = set(uses)
+            else:
+                bad("range", vid, "empty live range")
+                continue
+            if found or rules or doubt:
+                continue
+            chads = ups + [s0] if d is not None else ups
             if block:
-                # clean: no rule can fail, once every use is at a known point
-                if d in pos:
-                    s0 = chads[-1]
-                    clean = not ups or min(ups) > s0
-                elif vid in livein and pos:
-                    s0, clean = 0, d is None
-                else:
-                    s0, clean = min(ups) if ups else None, False
-                if s0 is None:
-                    runs = ()
-                else:
-                    s1 = last if vid in liveout else max(ups) if ups else s0
-                    # s1 < s0 when a use precedes the definition
-                    runs = [(s0, s1) if s0 <= s1 else (s1, s0)]
-                if clean and (known or len(ups) == len(uses)):
-                    yield vid, chads, runs
-                    continue
-                # the points of the run; a repeated point id may lie on
-                # both sides of an end
-                lo, hi = runs[0] if runs else (0, -1)
-                rng = set(self.point_order[lo // 2:hi // 2 + 1])
-                if not rng:
-                    bad("range", vid, "empty live range")
-                outside = {(u, USE) for u in uses if u not in rng}
-                if d is not None and d not in rng:
-                    outside.add((d, DEF))
-                for p, _ in sorted(outside):
-                    bad("chad", vid, f"chad at point {p} lies outside the range")
+                s1 = last if vid in liveout else max(ups) if ups else s0
+                yield vid, chads, [(s0, s1)]
             else:
-                # every chad point is in the range: the walks start there
-                rng, runs, top, stray = self._subtree(vid, d, uses)
-                if not rng:
-                    bad("range", vid, "empty live range")
-                elif top not in pos or not stray <= pos.keys():
-                    bad("range", vid, "range mentions unknown points")
-                # without stray uses the range hangs from top, and only a
-                # cycle through top closes it
-                elif (sum(self.parent_of[p] not in rng for p in rng) != 1
-                      if stray else self.parent_of[top] in rng):
-                    bad("range", vid, "subtree range is not connected")
-            # the uses that break dominance; a use at an unknown point is
-            # the [instr] rule's to report
-            first = def_of.get(vid)
-            if first is None:
-                stray = set() if vid in livein else {u for u in uses if u in pos}
-            elif block:
-                stray = {u for u in uses if u in pos and pos[u] <= pos[first]}
-            else:
-                if first != d:  # d is at an unknown point, listed first
-                    stray = self._subtree(vid, first, uses)[3]
-                if not known:
-                    stray = {u for u in stray if u in pos}
-            if stray:
-                doubt[vid] = stray
-            yield vid, chads, runs
+                yield vid, chads, self._subtree(d, uses)
 
         if not code_backed:
             if livein or liveout:
@@ -361,51 +340,28 @@ class Instance:
                     else f"use at {ins.at} is outside the subtree of "
                          f"definition {d}")
 
-    def _subtree(self, vid, d, uses):
-        """(range points, live sample runs, top, stray uses) of one
-        variable of a tree code, defined at d (or None) and used at
-        `uses`. The range is the union of the walks from each use up to
-        the top: the definition, or the root for live-in, or else the
-        first use; each point is walked once. A use whose walk leaves the
-        tree or circles never meets the top: it is stray, and kept alone
-        in the range. Without a top the range is empty."""
-        pos = self.point_pos
-        if d is not None:
-            top = d
-        elif vid in self.livein and pos:
-            top = self.point_order[0]
-        elif uses:
-            top = min(uses, key=lambda u: pos.get(u, len(pos)))
-        else:
-            return (), (), None, set()
-        reached = {top}  # joined to top by parent links
-        dead = set()  # walks from these never meet top
-        stray = set()
+    def _subtree(self, d, uses):
+        """The live sample runs of a tree variable of sound code, defined
+        at d (None for live-in) and used at `uses`. Its range is the union
+        of the walks from each use up to d, or to the root; each point is
+        walked once."""
+        pos, parent_of = self.point_pos, self.parent_of
+        rng = {self.point_order[0] if d is None else d}
         for u in uses:
-            path = set()
-            q = u
-            while q not in reached:
-                if q in path or q in dead or q not in pos:
-                    dead |= path
-                    stray.add(u)
-                    break
-                path.add(q)
-                q = self.parent_of[q]
-            else:
-                reached |= path
-        rng = reached | stray
-        has_kid = {self.parent_of.get(q) for q in rng}
+            while u not in rng:
+                rng.add(u)
+                u = parent_of[u]
+        has_kid = {parent_of[q] for q in rng}
         runs = []
         for p in rng:
-            if p in pos:
-                # live before p's instruction unless defined there; live
-                # after it if the range goes on into a child, or if the
-                # variable is defined at p and never used
-                first = 2 * pos[p] + (p == d)
-                last = 2 * pos[p] + (p in has_kid or (p == d and len(rng) == 1))
-                if first <= last:
-                    runs.append((first, last))
-        return rng, runs, top, stray
+            # live before p's instruction unless defined there; live
+            # after it if the range goes on into a child, or if the
+            # variable is defined at p and never used
+            first = 2 * pos[p] + (p == d)
+            last = 2 * pos[p] + (p in has_kid or (p == d and len(rng) == 1))
+            if first <= last:
+                runs.append((first, last))
+        return runs
 
     def chads(self, mode):
         """Per sample, the chad mask `mode` counts: chad_masks with holes,
@@ -566,15 +522,18 @@ def _point_structure(shape, points):
 
 def validate(instance):
     """Every violation of the rules of strict SSA code, as construction
-    recorded them; violations are data, not errors. The order is fixed:
-    points and shape, then per variable its weight, range, chads and
-    connectivity, then the instructions, live-in and live-out, and
-    dominance; the ids of one record are in sorted order."""
+    recorded them; violations are data, not errors, and an instance with
+    any has no liveness. The order is fixed: points and shape, then per
+    variable its weight and range, then the instructions, live-in and
+    live-out, and dominance; the ids of one record are in sorted order."""
     return list(instance.violations)
 
 
 def pressure(instance, spilled, mode):
-    """Per-sample register pressure after spilling `spilled` under `mode`."""
+    """Per-sample register pressure after spilling `spilled` under `mode`.
+    Like every solver, it refuses an unsound instance, which has no
+    liveness, and holes on a range instance."""
+    instance.require_sound("pressure")
     s = _mask(instance, spilled)
     values = tuple((lm & ~s).bit_count() + (cm & s).bit_count()
                    for lm, cm in zip(instance.live_masks, instance.chads(mode)))

@@ -36,10 +36,8 @@ from math import lcm
 from operator import itemgetter
 
 from . import kernel
-from .errors import SizeCapError
 from .model import HOLES, bits, empty_solution, pressure, spill_solution
 
-DEFAULT_CAP = 20
 DEFAULT_ALL_CAP = 100_000
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -56,16 +54,15 @@ def encode(instance, mode):
     return [lm for lm, _ in rows], [cm for _, cm in rows]
 
 
-def brute_force(instance, r, mode, cap=DEFAULT_CAP):
+def brute_force(instance, r, mode):
     """Exhaustive minimum via the kernel's cost-ordered subset search;
     `steps` counts the spill subsets it tested. Raises MalformedCodeError
-    on an instance that is not sound (Instance.problem)."""
+    on an instance that is not sound (Instance.problem), and SizeCapError
+    past kernel.MAX_VARS variables."""
     instance.require_sound("brute_force")
     if r < 0:
         raise ValueError("register count r must be >= 0")
     n = instance.n_vars
-    if n > cap:
-        raise SizeCapError(n, cap)
     live, chad = encode(instance, mode)
     cost, mask, steps = kernel.sweep(n, instance.int_weights, live, chad, r,
                                      mode == HOLES)
@@ -76,10 +73,10 @@ def brute_force(instance, r, mode, cap=DEFAULT_CAP):
                           "brute", steps)
 
 
-def brute_force_all(instance, r, mode, cap=DEFAULT_CAP, all_cap=DEFAULT_ALL_CAP):
+def brute_force_all(instance, r, mode, all_cap=DEFAULT_ALL_CAP):
     """(optimal solution, every optimal spill set, truncated flag)."""
     instance.require_sound("brute_force_all")
-    best = brute_force(instance, r, mode, cap)
+    best = brute_force(instance, r, mode)
     if not best.feasible:
         return best, [], False
     live, chad = encode(instance, mode)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from . import oracle
+from . import kernel, oracle
 from .errors import InfeasibleError, SpillkitError
 from .model import (HOLES, LINEAR, NOHOLES, TREE, Instance, Instruction, Point,
                     empty_solution)
@@ -368,7 +368,7 @@ class CheckResult:
         return _GENERATORS[self.kind](self.source)
 
 
-# Brute force runs when n <= oracle.DEFAULT_CAP and 2^n times the distinct
+# Brute force runs when n <= kernel.MAX_VARS and 2^n times the distinct
 # rows is at most this. The kernel's search stops at the optimum, so this
 # bounds what a search that finds nothing cheap could cost, not what a
 # search does cost; it also fixes the solver each check reports.
@@ -383,7 +383,7 @@ def solve_certificate(cert: ReductionCertificate):
     inst = cert.instance
     n = inst.n_vars
     rows = len(set(zip(inst.live_masks, inst.chads(cert.mode))))
-    if n <= oracle.DEFAULT_CAP and (1 << n) * rows <= WORK_BUDGET:
+    if n <= kernel.MAX_VARS and (1 << n) * rows <= WORK_BUDGET:
         return oracle.brute_force(inst, cert.r, cert.mode), "brute"
     if inst.shape == LINEAR and cert.mode == HOLES and cert.r < inst.omega:
         try:

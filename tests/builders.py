@@ -1,12 +1,16 @@
 """Seeded random instance builders shared by the test suite."""
 
 import random
+import re
 import signal
 from contextlib import contextmanager
-from itertools import combinations
 
-from spillkit.model import (HOLES, LINEAR, TREE, Instance, Instruction,
-                            Point, assign, pressure, validate)
+import pytest
+
+from spillkit.errors import MalformedCodeError
+from spillkit.model import (LINEAR, NOHOLES, TREE, Instance, Instruction,
+                            Point, assign, bits, pressure, validate)
+from spillkit.oracle import verify
 
 
 def random_linear_ranges(rng, n_max=12, m_max=20, w_max=1):
@@ -228,25 +232,45 @@ def chain_tree_code(rng, m, wide=False, h=2, depth=6, branch=0.2):
 
 
 def assert_registers(inst, spilled, mode):
-    """assign's registers, checked pairwise against the decoded liveness:
-    each kept variable and each chad `mode` counts on a spilled one has a
+    """assign's registers, checked against the live and chad masks: each
+    kept variable and each chad `mode` counts on a spilled one has a
     register, no two of those present at one sample share one, and the
     registers are 0 .. max_pressure - 1, each used. Returns their count."""
     regs = assign(inst, spilled, mode)
-    chads = inst.chads_at if mode == HOLES else [()] * len(inst.samples)
-    present = set()
-    most = 0
-    for (p, m), live, chad in zip(inst.samples, inst.live_at, chads):
-        here = [v for v in live if v not in spilled]
-        here += [(v, p, m) for v in chad if v in spilled]
-        for a, b in combinations(here, 2):
-            assert regs[a] != regs[b], (inst, a, b)
-        present.update(here)
+    ids, s = inst.var_ids, sum(1 << inst.bit_of[v] for v in spilled)
+    kept = chads = most = 0
+    last = None
+    rows = zip(inst.samples, inst.live_masks, inst.chads(mode))
+    for (p, m), lm, cm in rows:
+        keep, cut = lm & ~s, cm & s
+        if keep == last and not cut:
+            continue  # the sample before checked the same variables
+        last = keep
+        here = [ids[b] for b in bits(keep)]
+        here += [(ids[b], p, m) for b in bits(cut)]
+        taken = {regs.get(k) for k in here}
+        assert len(taken) == len(here) and None not in taken, (inst, here)
+        kept |= keep
+        chads += cut.bit_count()
         most = max(most, len(here))
-    assert regs.keys() == present, inst
+    assert len(regs) == kept.bit_count() + chads, inst
     assert most == pressure(inst, spilled, mode).max_pressure
     assert set(regs.values()) == set(range(most)), inst
     return most
+
+
+def assert_no_liveness(inst):
+    """An unsound instance keeps its record and no liveness: zero masks,
+    omega 0, no spans; pressure and verify refuse it."""
+    assert inst.problem
+    zero = (0,) * len(inst.samples)
+    assert inst.live_masks == inst.chad_masks == zero
+    assert inst.omega == 0 and inst.spans == {}
+    refusal = f"^pressure needs a valid instance; {re.escape(inst.problem)}$"
+    with pytest.raises(MalformedCodeError, match=refusal):
+        pressure(inst, (), NOHOLES)
+    with pytest.raises(MalformedCodeError, match=refusal):
+        verify(inst, (), 0, NOHOLES)
 
 
 def seeded(seed):

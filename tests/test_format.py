@@ -52,10 +52,23 @@ class TestParse:
         assert inst.live_at == (fs(), fs("a"), fs("a"), fs())
 
     def test_zero_weight_is_semantic_error(self):
+        # construction's weight rule, reported at the var's record
         bad = MINIMAL.replace("weight 1", "weight 0")
         with pytest.raises(ParseError) as exc:
             parse(bad)
+        assert str(exc.value) == (
+            "line 4: invalid instance (1 problem(s)); first: [weight] "
+            "a: weight 0 is not > 0")
         assert exc.value.line == 4
+
+    def test_span_covering_no_points(self):
+        # construction's range rule, reported at the var's record
+        bad = MINIMAL.replace("span 1..1", "span 2..0")
+        with pytest.raises(ParseError) as exc:
+            parse(bad)
+        assert str(exc.value) == (
+            "line 4: invalid instance (1 problem(s)); first: [range] "
+            "a: empty live range")
 
     def test_unknown_record_rejected(self):
         with pytest.raises(ParseError):

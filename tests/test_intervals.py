@@ -229,8 +229,8 @@ def test_gapped_range_is_refused(others):
                                 {"a": 1, **others})
     assert [v.detail for v in validate(inst)] == [
         "interval range is not contiguous"]
-    assert pressure(inst, (), NOHOLES).max_pressure == inst.omega
-    for what, solve in [("weighted_optimal", lambda: weighted_optimal(inst, 1)),
+    for what, solve in [("pressure", lambda: pressure(inst, (), NOHOLES)),
+                        ("weighted_optimal", lambda: weighted_optimal(inst, 1)),
                         ("incremental_cover_dp",
                          lambda: incremental_cover_dp(inst)),
                         ("greedy_furthest", lambda: greedy_furthest(inst, 1))]:

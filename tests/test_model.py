@@ -31,7 +31,7 @@ from spillkit.oracle import (branch_and_bound, brute_force, brute_force_all,
 from spillkit.punched import extra_set_dp
 from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
-from builders import (assert_registers, chain_tree_code,
+from builders import (assert_no_liveness, assert_registers, chain_tree_code,
                       random_linear_block, random_linear_code,
                       random_linear_ranges, random_tree_code,
                       random_tree_ranges, seeded, within)
@@ -58,107 +58,90 @@ def spelled(sets):
     return ["".join(sorted(s)) for s in sets]
 
 
-# Malformed codes from_code tolerates, recording their violations:
-# (builder, live variables per sample, chad variables per sample).
-# Samples run (1, use), (1, def), (2, use), ...; "ab" means {a, b}.
+# Edge cases construction takes without raising, sound or not; the
+# unsound ones are recorded in `violations` and keep no liveness.
 TOLERATED = {
-    # a is used at 2 and defined at 3: its run is swapped, not dropped
-    "linear use before def": (
+    # a is used at 2 and defined at 3
+    "linear use before def":
         lambda: linear_code(4, [ins(2, "a"), ins(3, defs="a"), ins(4, "b")],
                             {"a": 1, "b": 1}, livein={"b"}),
-        ["b", "b", "ab", "ab", "ab", "ab", "b", ""],
-        ["", "", "a", "", "", "a", "b", ""]),
     # a is defined at 1 and again at 2, where it is also used
-    "use and def at one instruction": (
-        lambda: linear_code(4, [ins(1, defs="a"), ins(2, "a", "ab"), ins(4, "b")],
-                            {"a": 1, "b": 1}),
-        ["", "a", "a", "b", "b", "b", "b", ""],
-        ["", "a", "a", "b", "", "", "b", ""]),
+    "use and def at one instruction":
+        lambda: linear_code(4, [ins(1, defs="a"), ins(2, "a", "ab"),
+                                ins(4, "b")], {"a": 1, "b": 1}),
     # a is defined at 2 but used at 3 and 4, a sibling's subtree
-    "tree use outside the definition's subtree": (
+    "tree use outside the definition's subtree":
         lambda: tree_code([None, 1, 1, 3], [ins(2, defs="a"), ins(4, "a"),
                                             ins(3, "a")], {"a": 1}),
-        ["", "", "", "", "a", "a", "a", ""],
-        ["", "", "", "a", "a", "", "a", ""]),
-    # point 3's parent 9 does not exist; a use there stays in the range
-    "orphan point": (
+    # point 3's parent 9 does not exist
+    "orphan point":
         lambda: tree_code([None, 1, 9], [ins(1, defs="a"), ins(3, "a"),
                                          ins(2, "a")], {"a": 1}),
-        ["", "a", "a", "", "a", ""],
-        ["", "a", "a", "", "a", ""]),
-    "linear def-only variable": (
+    "linear def-only variable":
         lambda: linear_code(3, [ins(2, defs="a"), ins(3, "b")],
                             {"a": 1, "b": 1}, livein={"b"}),
-        ["b", "b", "b", "ab", "b", ""],
-        ["", "", "", "a", "b", ""]),
-    "tree def-only variable": (
+    "tree def-only variable":
         lambda: tree_code([None, 1], [ins(2, defs="a")], {"a": 1}),
-        ["", "", "", "a"],
-        ["", "", "", "a"]),
-    "linear live-in variable with no use": (
+    "linear live-in variable with no use":
         lambda: linear_code(3, [ins(2, defs="b")], {"a": 1, "b": 1},
                             livein={"a"}),
-        ["a", "", "", "b", "", ""],
-        ["", "", "", "b", "", ""]),
-    "tree live-in variable with no use": (
+    "tree live-in variable with no use":
         lambda: tree_code([None, 1], [ins(2, defs="b")], {"a": 1, "b": 1},
                           livein={"a"}),
-        ["a", "", "", "b"],
-        ["", "", "", "b"]),
     # b is used at 2 but not declared
-    "use of an undeclared variable": (
+    "use of an undeclared variable":
         lambda: linear_code(3, [ins(1, defs="a"), ins(2, "ab"), ins(3, "a")],
                             {"a": 1}),
-        ["", "a", "a", "a", "a", ""],
-        ["", "a", "a", "", "a", ""]),
     # a is live-in and defined at 1 as well
-    "defined live-in variable": (
+    "defined live-in variable":
         lambda: linear_code(3, [ins(1, defs="a"), ins(3, "a")], {"a": 1},
                             livein={"a"}),
-        ["", "a", "a", "a", "a", ""],
-        ["", "a", "", "", "a", ""]),
-    # the block has no point 9: the use there is no chad
-    "instruction at an unknown point": (
+    # the block has no point 9
+    "instruction at an unknown point":
         lambda: linear_code(3, [ins(1, defs="a"), ins(2, "a"), ins(9, "a")],
                             {"a": 1}),
-        ["", "a", "a", "", "", ""],
-        ["", "a", "a", "", "", ""]),
     # a and b are defined by two instructions at point 1
-    "two instructions at one point": (
+    "two instructions at one point":
         lambda: linear_code(2, [ins(1, defs="a"), ins(1, defs="b"),
                                 ins(2, "ab")], {"a": 1, "b": 1}),
-        ["", "ab", "ab", ""],
-        ["", "ab", "ab", ""]),
     # parse refuses a parent on a block point before construction sees it
-    "linear point with a parent": (
+    "linear point with a parent":
         lambda: Instance.from_code(LINEAR, [Point(1), Point(2, 1)],
                                    [ins(1, defs="a"), ins(2, "a")], {"a": 1}),
-        ["", "a", "a", ""],
-        ["", "a", "a", ""]),
-    # neither a block nor a tree: the points are read as a tree
-    "unknown shape": (
+    # neither a block nor a tree
+    "unknown shape":
         lambda: Instance.from_code("dag", [Point(1), Point(2, 1)],
                                    [ins(1, defs="a"), ins(2, "a")], {"a": 1}),
-        ["", "a", "a", ""],
-        ["", "a", "a", ""]),
+}
+
+
+# The live and chad variables per sample of each sound tolerated form.
+# Samples run (1, use), (1, def), (2, use), ...; "ab" means {a, b}.
+LIVENESS = {
+    "linear def-only variable": (["b", "b", "b", "ab", "b", ""],
+                                 ["", "", "", "a", "b", ""]),
+    "tree def-only variable": (["", "", "", "a"], ["", "", "", "a"]),
+    "linear live-in variable with no use": (["a", "", "", "b", "", ""],
+                                            ["", "", "", "b", "", ""]),
+    "tree live-in variable with no use": (["a", "", "", "b"],
+                                          ["", "", "", "b"]),
 }
 
 
 # The problem construction records for each tolerated form that breaks
-# a rule: the first violation validate() reports. The other forms are
-# strict SSA code, and are solved.
+# a rule: the first violation validate() reports.
 UNSOUND = {
     "linear use before def":
         "[dominance] a: use at 2 precedes definition at 3",
     "use and def at one instruction":
         "[instr] point 2: uses and defs overlap: ['a']",
     "tree use outside the definition's subtree":
-        "[range] a: subtree range is not connected",
+        "[dominance] a: use at 4 is outside the subtree of definition 2",
     "orphan point": "[shape] point 3: unknown parent 9",
     "use of an undeclared variable": "[instr] point 2: undeclared variable b",
     "defined live-in variable": "[ssa] a: live-in variable must not be defined",
     "instruction at an unknown point":
-        "[chad] a: chad at point 9 lies outside the range",
+        "[instr] point 9: instruction at unknown point",
     "two instructions at one point":
         "[instr] point 1: multiple instructions at one point",
     "linear point with a parent":
@@ -330,7 +313,7 @@ class TestChordal:
 
     @pytest.mark.parametrize("name", sorted(UNSOUND))
     def test_unsound_instances_are_refused(self, name):
-        inst = TOLERATED[name][0]()
+        inst = TOLERATED[name]()
         with pytest.raises(MalformedCodeError, match=(
                 f"^assign needs a valid instance; "
                 f"{re.escape(UNSOUND[name])}$")):
@@ -437,12 +420,17 @@ def assert_one_rule_set(inst):
 
 @pytest.mark.parametrize("form", sorted(TOLERATED))
 def test_tolerated_malformed_code(form):
-    build, live, chads = TOLERATED[form]
-    inst = build()
-    assert spelled(inst.live_at) == live
-    assert spelled(inst.chads_at) == chads
+    """A sound form keeps its liveness; an unsound one its problem, and
+    no liveness."""
+    inst = TOLERATED[form]()
     assert inst.problem == UNSOUND.get(form)
     assert_one_rule_set(inst)
+    if form in UNSOUND:
+        assert_no_liveness(inst)
+    else:
+        live, chads = LIVENESS[form]
+        assert spelled(inst.live_at) == live
+        assert spelled(inst.chads_at) == chads
 
 
 def test_up_is_the_sample_tree():
@@ -450,7 +438,7 @@ def test_up_is_the_sample_tree():
     moment, then the previous point's def moment on a block, the parent
     point's on a tree; -1 at the root and where the parent is unknown."""
     rng = seeded(1507)
-    insts = [TOLERATED[form][0]() for form in sorted(TOLERATED)]
+    insts = [TOLERATED[form]() for form in sorted(TOLERATED)]
     for _ in range(15):
         insts += [random_linear_ranges(rng, w_max=9), random_tree_ranges(rng),
                   random_tree_code(rng), random_linear_code(rng, h=2)]
@@ -492,10 +480,10 @@ SOLVERS = {
 @pytest.mark.parametrize("mode", [NOHOLES, HOLES])
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_every_solver_refuses_a_chad_where_nothing_is_live(name, mode):
-    """The tree form whose chad lies where nothing is live is refused, as
-    is every other tolerated form that is not strict SSA code."""
+    """Every tolerated form that is not strict SSA code is refused,
+    naming its problem."""
     for form in sorted(UNSOUND):
-        inst = TOLERATED[form][0]()
+        inst = TOLERATED[form]()
         with pytest.raises(MalformedCodeError, match=(
                 f"needs a valid instance; {re.escape(UNSOUND[form])}$")):
             SOLVERS[name](inst, 0, mode)
@@ -504,7 +492,7 @@ def test_every_solver_refuses_a_chad_where_nothing_is_live(name, mode):
 def test_chads_per_mode():
     """chads(mode) is chad_masks with holes and zeros without, each the
     same sequence on every call; a mode it does not know is refused."""
-    inst = TOLERATED["linear use before def"][0]()
+    inst = TOLERATED["linear def-only variable"]()
     assert inst.chads(HOLES) is inst.chad_masks
     assert inst.chads(NOHOLES) == (0,) * len(inst.samples)
     assert inst.chads(NOHOLES) is inst.chads(NOHOLES)
@@ -544,7 +532,7 @@ def _any_instance(draw):
     on a block or a tree whose parent links may be broken."""
     kind = draw(st.sampled_from(["tolerated", "code", "ranges"]))
     if kind == "tolerated":
-        return TOLERATED[draw(st.sampled_from(sorted(TOLERATED)))][0]()
+        return TOLERATED[draw(st.sampled_from(sorted(TOLERATED)))]()
     shape = draw(st.sampled_from([LINEAR, TREE]))
     m = draw(st.integers(1, 5), label="points")
     if shape == LINEAR:
@@ -644,16 +632,13 @@ def test_round_trips_are_sound_or_refused(inst):
     assert back == inst
 
 
-@pytest.mark.parametrize("parents, live", [
-    ([None, 2], ["", "", "a", "a"]),
-    ([None, 3, 2], ["", "", "a", "", "", ""]),
-], ids=["self-parent", "two-cycle"])
-def test_cyclic_parents_end_and_are_reported(parents, live):
-    # a is defined at the root and used on the cycle, whose walk up to
-    # the definition never arrives: a is live at its use alone
+@pytest.mark.parametrize("parents", [[None, 2], [None, 3, 2]],
+                         ids=["self-parent", "two-cycle"])
+def test_cyclic_parents_end_and_are_reported(parents):
+    # a is defined at the root and used on the cycle, where no walk up
+    # from the use may go
     with within(1.0):
         inst = tree_code(parents, [ins(1, defs="a"), ins(2, "a")], {"a": 1})
-    assert spelled(inst.live_at) == live
     unreached = {v.subject for v in validate(inst) if v.code == "shape"}
     assert unreached == {f"point {p}" for p in range(2, len(parents) + 1)}
 

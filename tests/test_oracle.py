@@ -73,17 +73,24 @@ class TestBruteForce:
         assert not sol.feasible and sol.cost is None
 
     def test_cap_refused(self):
-        rng = seeded(1)
-        inst = random_linear_ranges(rng, n_max=12, m_max=12)
-        with pytest.raises(SizeCapError):
-            brute_force(inst, 1, NOHOLES, cap=inst.n_vars - 1)
+        # one variable past the kernel's ceiling
+        n = kernel.MAX_VARS + 1
+        inst = ranges_inst({f"v{i:02d}": range(1, 3) for i in range(n)},
+                           {f"v{i:02d}": 1 for i in range(n)})
+        for solve in (brute_force, brute_force_all):
+            with pytest.raises(SizeCapError) as exc:
+                solve(inst, 1, NOHOLES)
+            assert (exc.value.n, exc.value.cap) == (21, 20)
 
-    def test_kernel_ceiling_refuses_before_sweeping(self):
-        # a caller's cap cannot lift the kernel past its own ceiling
+    def test_kernel_ceiling_refuses_before_sweeping(self, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("enumerated the subsets of 64 variables")
+
+        monkeypatch.setattr(kernel, "_by_cost", enumerated)
         inst = ranges_inst({f"v{i}": range(1, 3) for i in range(64)},
                            {f"v{i}": 1 for i in range(64)})
         with pytest.raises(SizeCapError) as exc:
-            brute_force(inst, 1, NOHOLES, cap=64)
+            brute_force(inst, 1, NOHOLES)
         assert exc.value.cap == kernel.MAX_VARS
 
     def test_first_feasible_in_weight_order_is_optimal(self):
