@@ -7,8 +7,14 @@ source-problem format consumed by the reduction generators.
     instr <point> uses <ids|-> defs <ids|->
     livein <ids|->
     liveout <ids|->
-    var <id> weight <int|num/den> [span <a>..<b> | points <ids>]
+    var <id> weight <int|num/den> [span <a>..<b> | points <points>]
     # comment
+
+Tokens are separated by whitespace. Every integer (a point id, a
+parent, <a>, <b>, <int>, num and den) is -?[0-9]+: ASCII digits after an
+optional minus. An <id> is [A-Za-z_][A-Za-z0-9_.-]*; <ids> is one or
+more ids joined by commas, none of them empty, or '-' for none; <points>
+is one or more point ids joined by commas, none of them empty.
 
 A ranges instance is a tree when a point names a parent or a variable
 lists points, and linear (variables give spans) otherwise.
@@ -30,6 +36,7 @@ from .reductions import CoverInstance, GraphInstance, X3CInstance
 
 FORMAT_TAG = "spill-v1"
 _NAMES = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*(?:,[A-Za-z_][A-Za-z0-9_.\-]*)*")
+_NONE = frozenset()
 
 
 def _name(tok, line):
@@ -38,43 +45,52 @@ def _name(tok, line):
     return tok
 
 
+def _is_int(tok):
+    """Whether tok is -?[0-9]+."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    return digits.isdigit() and digits.isascii()
+
+
 def _int(tok, line, what="integer"):
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"bad {what} {tok!r}", line) from None
+    if not _is_int(tok):
+        raise ParseError(f"bad {what} {tok!r}", line)
+    return int(tok)
 
 
 def _weight(tok, line):
-    try:
-        if "/" in tok:
-            num, den = tok.split("/", 1)
-            w = Fraction(int(num), int(den))
-        else:
-            w = int(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {tok!r}", line) from None
-    return w
+    num, slash, den = tok.partition("/")
+    if _is_int(num) and (not slash or _is_int(den)):
+        if not slash:
+            return int(num)
+        if int(den):
+            return Fraction(int(num), int(den))
+    raise ParseError(f"bad rational {tok!r}", line)
 
 
-def _csv(tok, line):
+def _ids(tok, line):
+    """The ids of a list token: '-' for none, else ids joined by commas,
+    none of them empty."""
     if tok == "-":
         return []
     if _NAMES.fullmatch(tok):
         return tok.split(",")
-    return [_name(t, line) for t in tok.split(",") if t != ""]
+    bad = next(t for t in tok.split(",") if not _NAMES.fullmatch(t))
+    raise ParseError(f"bad identifier {bad!r}" if bad
+                     else f"empty id in list {tok!r}", line)
 
 
-def _records(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if toks:
-            yield lineno, toks
+def _toks(raw):
+    """The tokens of one line, its comment cut off."""
+    return (raw.partition("#")[0] if "#" in raw else raw).split()
 
 
 def parse(text):
     """Parse instance text; raises ParseError with a location on any
-    syntactic or semantic problem, otherwise returns a valid Instance."""
+    syntactic or semantic problem, otherwise returns a valid Instance.
+    One loop reads the records and raises at the first broken one, so the
+    first such problem in file order is reported; a missing kind, a
+    repeated var and what construction finds are reported once every
+    record is read."""
     kind = None
     points = []
     point_lines = {}
@@ -86,79 +102,102 @@ def parse(text):
     var_lines = {}  # id -> line of its first var record
     trailers = {}  # id -> (span|None, points|None), if the var has one
     dup_var = None  # (line, id) of the first repeated var
-    seen_format = False
 
-    for line, toks in _records(text):
-        rec, args = toks[0], toks[1:]
-        if not seen_format:
-            if rec != "format" or args != [FORMAT_TAG]:
+    records = enumerate(text.splitlines(), start=1)
+    for line, raw in records:
+        toks = _toks(raw)
+        if toks:
+            if toks != ["format", FORMAT_TAG]:
                 raise ParseError(f"expected 'format {FORMAT_TAG}' first", line)
-            seen_format = True
+            break
+    else:
+        raise ParseError("empty input: missing format record", 1)
+    # The records are read inline, without a helper call per record (the
+    # tokens are _toks's): a plain [0-9]+ integer or an ASCII identifier
+    # is taken as it is, and any other token goes to the helper that
+    # checks it in full.
+    for line, raw in records:
+        toks = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not toks:
             continue
+        rec = toks[0]
         if rec == "point":  # the frequent records first
-            if len(args) == 1:
-                pid, parent = _int(args[0], line, "point id"), None
-            elif len(args) == 3 and args[1] == "parent":
-                pid, parent = _int(args[0], line, "point id"), _int(args[2], line, "parent id")
+            n = len(toks)
+            if n == 2:
+                t, parent = toks[1], None
+            elif n == 4 and toks[2] == "parent":
+                t, q = toks[1], toks[3]
             else:
                 raise ParseError("point takes: <id> [parent <id>]", line)
+            pid = int(t) if t.isdigit() and t.isascii() else _int(t, line, "point id")
+            if n == 4:
+                parent = (int(q) if q.isdigit() and q.isascii()
+                          else _int(q, line, "parent id"))
             if pid in point_lines:
                 raise ParseError(f"duplicate point {pid}", line)
             point_lines[pid] = line
             points.append(Point(pid, parent))
         elif rec == "instr":
-            if len(args) != 5 or args[1] != "uses" or args[3] != "defs":
+            if len(toks) != 6 or toks[2] != "uses" or toks[4] != "defs":
                 raise ParseError("instr takes: <point> uses <ids|-> defs <ids|->", line)
-            at = _int(args[0], line, "point id")
-            instrs.append(Instruction(at, frozenset(_csv(args[2], line)),
-                                      frozenset(_csv(args[4], line))))
+            t, u, d = toks[1], toks[3], toks[5]
+            at = int(t) if t.isdigit() and t.isascii() else _int(t, line, "point id")
+            uses = (_NONE if u == "-" else frozenset(u.split(","))
+                    if u.isidentifier() and u.isascii() or _NAMES.fullmatch(u)
+                    else frozenset(_ids(u, line)))
+            defs = (_NONE if d == "-" else frozenset(d.split(","))
+                    if d.isidentifier() and d.isascii() or _NAMES.fullmatch(d)
+                    else frozenset(_ids(d, line)))
+            instrs.append(Instruction(at, uses, defs))
             instr_lines.append(line)
         elif rec == "var":
-            if len(args) < 3 or args[1] != "weight":
+            n = len(toks)
+            if n < 4 or toks[2] != "weight":
                 raise ParseError("var takes: <id> weight <w> [span a..b | points ids]", line)
-            vid = _name(args[0], line)
-            w = _weight(args[2], line)
-            if len(args) > 3:
-                rest, span, pts = args[3:], None, None
+            vid, t = toks[1], toks[3]
+            if not (vid.isidentifier() and vid.isascii()):
+                _name(vid, line)
+            w = int(t) if t.isdigit() and t.isascii() else _weight(t, line)
+            if n > 4:
+                rest, span, pts = toks[4:], None, None
                 if rest[0] == "span" and len(rest) == 2:
-                    m = re.match(r"^(-?\d+)\.\.(-?\d+)$", rest[1])
-                    if not m:
+                    a, dots, b = rest[1].partition("..")
+                    if not (dots and _is_int(a) and _is_int(b)):
                         raise ParseError(f"bad span {rest[1]!r}", line)
-                    span = (int(m.group(1)), int(m.group(2)))
+                    span = (int(a), int(b))
                 elif rest[0] == "points" and len(rest) == 2:
-                    pts = [_int(t, line, "point id") for t in rest[1].split(",") if t]
+                    pts = [_int(t, line, "point id") for t in rest[1].split(",")]
                 else:
                     raise ParseError("var trailer must be 'span a..b' or 'points ids'", line)
                 trailers.setdefault(vid, (span, pts))
             if vid in weights:
                 dup_var = dup_var or (line, vid)
-            weights.setdefault(vid, w)
-            var_lines.setdefault(vid, line)
+            else:
+                weights[vid] = w
+                var_lines[vid] = line
         elif rec == "kind":
             if kind is not None:
                 raise ParseError("duplicate kind record", line)
-            if len(args) != 1 or args[0] not in ("linear", "tree", "ranges"):
+            if len(toks) != 2 or toks[1] not in ("linear", "tree", "ranges"):
                 raise ParseError("kind must be linear, tree or ranges", line)
-            kind = args[0]
+            kind = toks[1]
         elif rec == "livein":
             if livein is not None:
                 raise ParseError("duplicate livein record", line)
-            if len(args) != 1:
+            if len(toks) != 2:
                 raise ParseError("livein takes one id list", line)
-            livein = frozenset(_csv(args[0], line))
+            livein = frozenset(_ids(toks[1], line))
         elif rec == "liveout":
             if liveout is not None:
                 raise ParseError("duplicate liveout record", line)
-            if len(args) != 1:
+            if len(toks) != 2:
                 raise ParseError("liveout takes one id list", line)
-            liveout = frozenset(_csv(args[0], line))
+            liveout = frozenset(_ids(toks[1], line))
         elif rec == "format":
             raise ParseError("duplicate format record", line)
         else:
             raise ParseError(f"unknown record kind {rec!r}", line)
 
-    if not seen_format:
-        raise ParseError("empty input: missing format record", 1)
     if kind is None:
         raise ParseError("missing kind record", 1)
     if dup_var:
@@ -274,7 +313,10 @@ def parse_source(text):
     members = []
     edges = []
     bound = None
-    for line, toks in _records(text):
+    for line, raw in enumerate(text.splitlines(), start=1):
+        toks = _toks(raw)
+        if not toks:
+            continue
         rec, args = toks[0], toks[1:]
         if kind is None:
             if rec != "source" or len(args) != 1 or args[0] not in (
@@ -283,15 +325,15 @@ def parse_source(text):
             kind = args[0]
             continue
         if rec == "elements" and kind == "x3c" and len(args) == 1:
-            elements = tuple(_csv(args[0], line))
+            elements = tuple(_ids(args[0], line))
         elif rec == "triple" and kind == "x3c" and len(args) == 1:
-            triples.append(frozenset(_csv(args[0], line)))
+            triples.append(frozenset(_ids(args[0], line)))
         elif rec == "ground" and kind == "mincover" and len(args) == 1:
-            ground = tuple(_csv(args[0], line))
+            ground = tuple(_ids(args[0], line))
         elif rec == "member" and kind == "mincover" and len(args) == 1:
-            members.append(frozenset(_csv(args[0], line)))
+            members.append(frozenset(_ids(args[0], line)))
         elif rec == "vertices" and kind == "indepset" and len(args) == 1:
-            vertices = tuple(_csv(args[0], line))
+            vertices = tuple(_ids(args[0], line))
         elif rec == "edge" and kind == "indepset" and len(args) == 2:
             u, v = _name(args[0], line), _name(args[1], line)
             edges.append((min(u, v), max(u, v)))

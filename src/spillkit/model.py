@@ -37,17 +37,35 @@ def check_mode(mode):
         raise ValueError(f"unknown pressure mode {mode!r}")
 
 
-@dataclass(frozen=True)
+# Point and Instruction are frozen dataclasses whose __init__ sets each
+# slot through its own setter, bound once below, rather than through a
+# lookup of object.__setattr__ per field: parse makes one per record.
+
+@dataclass(frozen=True, slots=True)
 class Point:
     id: int
     parent: Optional[int] = None
 
+    def __init__(self, id, parent=None):
+        _set_id(self, id)
+        _set_parent(self, parent)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Instruction:
     at: int
     uses: frozenset
     defs: frozenset
+
+    def __init__(self, at, uses, defs):
+        _set_at(self, at)
+        _set_uses(self, uses)
+        _set_defs(self, defs)
+
+
+_set_id, _set_parent = Point.id.__set__, Point.parent.__set__
+_set_at, _set_uses, _set_defs = (Instruction.at.__set__, Instruction.uses.__set__,
+                                 Instruction.defs.__set__)
 
 
 @dataclass(frozen=True)
@@ -100,9 +118,10 @@ class Instance:
     instance's only liveness tables; live_at and chads_at decode them;
     chads(mode) picks them by mode.
 
-    Construction never raises on malformed input. It checks every rule
-    of strict SSA code as it derives the tables, and records what breaks
-    them in `violations` (what validate() returns), in a fixed order;
+    Construction never raises on malformed input. One pass over integer
+    point positions (_derive) checks every rule of strict SSA code as it
+    derives the tables, and records what breaks them in `violations`
+    (what validate() returns), in a fixed order;
     `problem` is the first of them as text, or None. An instance with a
     problem keeps its records, samples, up and h but no liveness: its
     masks are zero, omega is 0 and spans is empty. Every solver, and
@@ -124,56 +143,29 @@ class Instance:
         self.livein = frozenset(livein)
         self.liveout = frozenset(liveout)
 
-        order, found = _point_structure(shape, self.points)
+        ids = [p.id for p in self.points]
+        parents = [p.parent for p in self.points]
+        order, found = _point_structure(shape, ids, parents)
         self.point_order = order  # point ids, chain order or DFS preorder
-        self.point_pos = pos = {p: i for i, p in enumerate(order)}
-        self.parent_of = {p.id: p.parent for p in self.points}
+        self.point_pos = dict(zip(order, range(len(order))))
+        self.parent_of = dict(zip(ids, parents))
         # Two samples per point, use moment first: (p, USE) is sample
         # 2 * point_pos[p] and (p, DEF) the one after it.
         self.samples = tuple([(p, m) for p in order for m in (USE, DEF)])
-        # (q, DEF) is sample 2 * pos[q] + 1, and that is -1 for q unknown
-        self.up = (tuple(range(-1, 2 * len(order) - 1)) if shape == LINEAR
-                   else tuple(u for i, p in enumerate(order) for u in (
-                       2 * pos.get(self.parent_of[p], -1) + 1, 2 * i)))
 
         self.var_ids = tuple(sorted(weights if ranges is None else ranges))
-        self.bit_of = {v: i for i, v in enumerate(self.var_ids)}
+        self.bit_of = dict(zip(self.var_ids, range(len(self.var_ids))))
         ws = tuple(map(weights.__getitem__, self.var_ids))
         if {*map(type, ws)} <= {int}:  # nothing to scale
             self.scale, self.int_weights = 1, ws
-        else:
-            ws = [Fraction(w) for w in ws]
+        else:  # an int or a Fraction has its numerator and denominator
+            ws = [w if isinstance(w, (int, Fraction)) else Fraction(w)
+                  for w in ws]
             self.scale = lcm(*(w.denominator for w in ws))
             self.int_weights = tuple(w.numerator * (self.scale // w.denominator)
                                      for w in ws)
         self.ranges = ranges and {v: frozenset(ranges[v]) for v in self.var_ids}
-
-        # one pass, which also sets h and checks the rules; a run flips its
-        # bit on at its first sample and off after its last
-        flips = [0] * (len(self.samples) + 1)
-        count = [0] * (len(self.samples) + 1)
-        chad = [0] * len(self.samples)
-        spans = {}
-        for i, (vid, chads, runs) in enumerate(self._derive(found)):
-            bit = 1 << i
-            for a, b in runs:
-                flips[a] ^= bit
-                flips[b + 1] ^= bit
-                count[a] += 1
-                count[b + 1] -= 1
-            spans[vid] = runs[0] if len(runs) == 1 else (min(runs)[0], max(runs)[1])
-            for c in chads:
-                chad[c] |= bit
-        self.violations = tuple(found)
-        self.problem = str(found[0]) if found else None
-        if found:  # code that breaks a rule has no liveness
-            self.spans, self.omega = {}, 0
-            self.live_masks = self.chad_masks = (0,) * len(self.samples)
-            return
-        self.spans = spans
-        self.live_masks = tuple(accumulate(flips[:-1], int.__xor__))
-        self.chad_masks = tuple(chad)
-        self.omega = max(accumulate(count[:-1]), default=0)
+        self._derive(found)
 
     # -- construction -------------------------------------------------
 
@@ -196,172 +188,265 @@ class Instance:
         return cls(shape, points, weights, ranges=ranges)
 
     def _derive(self, found):
-        """(id, chad samples, live sample runs) of each variable, in var_ids
-        order, until a rule is found broken; runs are disjoint (first,
-        last) pairs. A block variable has one run, from the definition (or
-        the block entry for live-in) to the last use (or the exit for
-        live-out); a tree variable's runs cover the walks from its uses up
-        to its definition (or the root for live-in).
+        """The one pass over integer positions (point i is point_order[i],
+        variable b is var_ids[b], with mask 1 << b) that checks every rule
+        and sets up, h, violations and problem and, when no rule is
+        broken, the liveness tables.
 
-        Every rule is a check on positions it already has. The one scan
-        of the instructions sets h, the most uses or definitions at one
-        instruction, keeps their violations (instr, ssa) in instruction
-        order, and records the uses and definitions at known points. The
-        loop over the variables appends to `found` each variable's weight
-        and range violations; after the last one come the scan's
-        violations, those of live-in and live-out, and those of dominance.
-        A definition dominates the uses after it on a block and those in
-        its preorder interval on a tree; live-in, every use. So a tree
-        walk runs only on sound points, and needs no guards."""
-        pos = self.point_pos
-        bad = lambda code, subject, detail: found.append(
-            Violation(code, subject, detail))
-        block, livein, liveout = self.shape == LINEAR, self.livein, self.liveout
-        code_backed, instrs = self.code_backed, self.instructions or ()
-        declared = frozenset(self.var_ids)
+        The scan of the instructions sets h, the most uses or definitions
+        at one instruction, keeps their violations (instr, ssa) in
+        instruction order, and writes into lists indexed by position the
+        masks of each point's uses and definitions (the chads), and into
+        lists indexed by bit each variable's first definition, its first
+        and last use and, on a tree, every use. The loop over the
+        variables appends to `found` each one's weight and range
+        violations; after the last one come the scan's violations, those
+        of live-in and live-out, and those of dominance. A definition at
+        position d dominates the uses after it on a block and those in its
+        preorder interval [d, end[d]] on a tree; live-in, every use. So
+        the first and last use decide dominance.
+
+        While no rule is broken, the same loop lays down each variable's
+        liveness. On a block it is one run, from the definition's def
+        moment (or the entry) to the last use (or the exit): its bit flips
+        on there, as the chads of the definitions do, and off after the
+        run, and the live masks are the XOR prefixes of the flips. On a
+        tree it is the union of the walks from each use up to the
+        definition (or the root): a walked point is live at its use
+        moment, and its parent at its def moment. `mark`, one list by
+        position, holds the bit of the last variable that walked each
+        point, so each point is walked once per variable; the walks need
+        no guards, as the points and the variable's dominance are checked
+        first. A range instance's variable covers both moments of its
+        points."""
+        order, pos = self.point_order, self.point_pos
+        npts, block = len(order), self.shape == LINEAR
+        livein, liveout, var_ids = self.livein, self.liveout, self.var_ids
+        nv, idx = len(var_ids), self.bit_of
+        # par[i]: the position of point i's parent, -1 at the root and
+        # where the parent is unknown; (q, DEF) is sample 2 * q + 1
+        par = None if block else [pos.get(self.parent_of[p], -1) for p in order]
+        self.up = (tuple(range(-1, 2 * npts - 1)) if block else
+                   tuple(u for i, q in enumerate(par) for u in (2 * q + 1, 2 * i)))
+        one = list(map((1).__lshift__, range(nv)))  # bit b's mask
         rules = []  # the instr and ssa violations, in instruction order
-        rule = lambda code, subject, detail: rules.append(
-            Violation(code, subject, detail))
-        def_of = {}  # var -> its first definition
-        uses_at = defaultdict(list)  # var -> use points, in instruction order
-        seen = set()  # the points of the instructions so far
+        # per bit: the position of the first definition (-1 for none), of
+        # the first and the last use (npts and -1 for none) and, on a tree,
+        # of every use
+        def_at, lo, hi = [-1] * nv, [npts] * nv, [-1] * nv
+        uses_at = None if block else [[] for _ in one]
+        chad_use, chad_def = [0] * npts, [0] * npts  # per position
+        taken = bytearray(npts)  # 1 at the points of the instructions so far
+        # a block's live count rises at each sample by gain[sample]
+        gain = [0] * (2 * npts + 1)
+        declared = frozenset(var_ids)
         h = 0
-        for ins in instrs:
+        for ins in self.instructions or ():
             at, uses, defs = ins.at, ins.uses, ins.defs
             nu, nd = len(uses), len(defs)
             if nu > h or nd > h:
                 h = max(nu, nd)
-            if at not in pos:
-                rule("instr", f"point {at}", "instruction at unknown point")
+            i = pos.get(at)
+            if i is None:
+                rules.append(Violation("instr", f"point {at}",
+                                       "instruction at unknown point"))
                 continue
-            for v in uses:
-                uses_at[v].append(at)
-            if at in seen:
-                rule("instr", f"point {at}", "multiple instructions at one point")
-            seen.add(at)
+            if taken[i]:
+                rules.append(Violation("instr", f"point {at}",
+                                       "multiple instructions at one point"))
+            taken[i] = 1
             if nu and nd and not uses.isdisjoint(defs):
-                rule("instr", f"point {at}",
-                     f"uses and defs overlap: {sorted(uses & defs)}")
+                rules.append(Violation("instr", f"point {at}",
+                                       f"uses and defs overlap: {sorted(uses & defs)}"))
             if not (uses <= declared and defs <= declared):
                 for v in sorted((uses | defs) - declared):
-                    rule("instr", f"point {at}", f"undeclared variable {v}")
-            for v in defs:
-                if v in def_of or v in livein:
-                    # an ssa violation: check the defs not yet written, in
-                    # sorted order (those before v are written and sound)
-                    done = takewhile(v.__ne__, defs)
-                    for u in sorted(defs.difference(done)):
-                        if u in def_of:
-                            rule("ssa", u,
-                                 f"defined at {def_of[u]} and again at {at}")
-                        else:
-                            def_of[u] = at
-                        if u in livein:
-                            rule("ssa", u, "live-in variable must not be defined")
-                    break
-                def_of[v] = at
+                    rules.append(Violation("instr", f"point {at}",
+                                           f"undeclared variable {v}"))
+                    # a bit past the declared ones, with no mask: no
+                    # tables are kept, so what it adds to them is moot
+                    if v not in idx:
+                        idx = {**idx, v: len(one)}
+                        one.append(0)
+                        def_at.append(-1)
+                        lo.append(npts)
+                        hi.append(-1)
+                        if not block:
+                            uses_at.append([])
+            # a mask's first bit is shared, not copied; a second
+            # instruction at a point breaks a rule, so no chad is kept
+            if nu:
+                mask = 0
+                for v in uses:
+                    b = idx[v]
+                    if i < lo[b]:
+                        lo[b] = i
+                    if i > hi[b]:
+                        hi[b] = i
+                    if not block:
+                        uses_at[b].append(i)
+                    mask = mask | one[b] if mask else one[b]
+                chad_use[i] = mask
+            if nd:
+                mask = 0
+                for v in defs:
+                    b = idx[v]
+                    if def_at[b] >= 0 or v in livein:
+                        # an ssa violation: check the defs not yet written,
+                        # in sorted order (those before v are sound)
+                        done = takewhile(v.__ne__, defs)
+                        for u in sorted(defs.difference(done)):
+                            d = def_at[idx[u]]
+                            if d >= 0:
+                                rules.append(Violation(
+                                    "ssa", u, f"defined at {order[d]} and again at {at}"))
+                            else:
+                                def_at[idx[u]] = i
+                            if u in livein:
+                                rules.append(Violation(
+                                    "ssa", u, "live-in variable must not be defined"))
+                        break
+                    def_at[b] = i
+                    mask = mask | one[b] if mask else one[b]
+                chad_def[i] = mask
+                gain[2 * i + 1] += nd
         self.h = h
 
-        doubt = {}  # var -> the points of its uses that break dominance
-        last = len(self.samples) - 1
+        code_backed = self.code_backed
         if code_backed and not block:
             # end[i]: the last preorder position in point i's subtree
-            end = list(range(len(pos)))
-            for i in range(len(pos) - 1, 0, -1):
-                j = pos.get(self.parent_of[self.point_order[i]])
-                if j is not None and end[i] > end[j]:
+            end = list(range(npts))
+            for i in range(npts - 1, 0, -1):
+                j = par[i]
+                if j >= 0 and end[i] > end[j]:
                     end[j] = end[i]
-        for vid, w in zip(self.var_ids, self.int_weights):
+        # a block's bits flip on at the def moments of their definitions
+        flips = [0] * (2 * npts + 1)
+        flips[1::2] = chad_def
+        # a tree's masks at the use and at the def moment of each point,
+        # and the bit that last walked it
+        walked, below, mark = [0] * npts, chad_def[:], [-1] * npts
+        spans = {}
+        doubt = {}  # var -> its first definition, where a use breaks dominance
+        last = 2 * npts - 1
+        clean = not found and not rules
+        for b, (vid, w) in enumerate(zip(var_ids, self.int_weights)):
             if w <= 0:
-                bad("weight", vid, f"weight {Fraction(w, self.scale)} is not > 0")
+                found.append(Violation("weight", vid,
+                                       f"weight {Fraction(w, self.scale)} is not > 0"))
+                clean = False
             if not code_backed:
                 rng = self.ranges[vid]
-                runs = [(2 * pos[p], 2 * pos[p] + 1) for p in rng if p in pos]
+                ps = [pos[p] for p in rng if p in pos]
                 if not rng:
-                    bad("range", vid, "empty live range")
-                elif len(runs) < len(rng):
-                    bad("range", vid, "range mentions unknown points")
+                    found.append(Violation("range", vid, "empty live range"))
+                elif len(ps) < len(rng):
+                    found.append(Violation("range", vid, "range mentions unknown points"))
                 elif not block:
                     if sum(self.parent_of[p] not in rng for p in rng) != 1:
-                        bad("range", vid, "subtree range is not connected")
-                elif max(runs)[0] - min(runs)[0] != 2 * len(runs) - 2:
-                    bad("range", vid, "interval range is not contiguous")
-                if not found:
-                    yield vid, (), runs
-                continue
-            d, uses = def_of.get(vid), uses_at.get(vid, ())
-            ups = [2 * pos[u] for u in uses]
-            if d is not None:
-                # s0 is (d, DEF); it dominates the use samples [lo, hi]:
-                # those after it on a block, those in d's subtree on a tree
-                s0 = 2 * pos[d] + 1
+                        found.append(Violation("range", vid,
+                                               "subtree range is not connected"))
+                elif max(ps) - min(ps) != len(ps) - 1:
+                    found.append(Violation("range", vid,
+                                           "interval range is not contiguous"))
+                if found:
+                    continue
+                first, final = min(ps), max(ps)
+                spans[vid] = (2 * first, 2 * final + 1)
                 if block:
-                    lo, hi = s0 + 1, last
+                    flips[2 * first] ^= one[b]
+                    flips[2 * final + 2] ^= one[b]
+                    gain[2 * first] += 1
+                    gain[2 * final + 2] -= 1
                 else:
-                    lo, hi = s0 - 1, 2 * end[s0 // 2]
-                if ups and not lo <= min(ups) <= max(ups) <= hi:
-                    doubt[vid] = {u for u, s in zip(uses, ups)
-                                  if not lo <= s <= hi}
+                    for i in ps:
+                        walked[i] |= one[b]
+                        below[i] |= one[b]
+                continue
+            top, first, final = def_at[b], lo[b], hi[b]
+            if top >= 0:
+                s0 = 2 * top + 1
+                if final >= 0 and not (top < first if block else
+                                       top <= first and final <= end[top]):
+                    doubt[vid] = top
+                    clean = False
             elif vid in livein:
-                s0 = 0
-            elif ups:  # never defined
-                doubt[vid] = set(uses)
+                top = s0 = 0
+            elif final >= 0:  # never defined
+                doubt[vid] = None
+                clean = False
             else:
-                bad("range", vid, "empty live range")
+                found.append(Violation("range", vid, "empty live range"))
+                clean = False
+            if not clean:
                 continue
-            if found or rules or doubt:
-                continue
-            chads = ups + [s0] if d is not None else ups
+            s1 = last if vid in liveout else 2 * final if final >= 0 else s0
+            spans[vid] = (s0, s1)
             if block:
-                s1 = last if vid in liveout else max(ups) if ups else s0
-                yield vid, chads, [(s0, s1)]
-            else:
-                yield vid, chads, self._subtree(d, uses)
+                if not s0:  # live-in
+                    flips[0] ^= one[b]
+                    gain[0] += 1
+                flips[s1 + 1] ^= one[b]
+                gain[s1 + 1] -= 1
+                continue
+            if not s0:  # live-in
+                walked[0] |= one[b]
+            mark[top] = b
+            for u in uses_at[b]:
+                while mark[u] != b:
+                    mark[u] = b
+                    walked[u] |= one[b]
+                    u = par[u]
+                    below[u] |= one[b]
 
         if not code_backed:
             if livein or liveout:
-                bad("livein/liveout", "<instance>",
-                    "range instances take no livein/liveout")
-            return
-        found += rules
-        for v in sorted((livein | liveout) - declared):
-            bad("livein/liveout", v, "undeclared variable")
-        if liveout and self.shape == TREE:
-            bad("liveout", "<instance>", "liveout is only defined for linear codes")
-        for ins in instrs if doubt else ():
-            for v in sorted(ins.uses) if len(ins.uses) > 1 else ins.uses:
-                if ins.at not in doubt.get(v, ()):
-                    continue
-                d = def_of.get(v)
-                bad("dominance", v,
-                    f"used at {ins.at} but never defined and not live-in"
-                    if d is None else
-                    f"use at {ins.at} precedes definition at {d}" if block
-                    else f"use at {ins.at} is outside the subtree of "
-                         f"definition {d}")
+                found.append(Violation("livein/liveout", "<instance>",
+                                       "range instances take no livein/liveout"))
+        else:
+            found += rules
+            for v in sorted((livein | liveout) - declared):
+                found.append(Violation("livein/liveout", v, "undeclared variable"))
+            if liveout and self.shape == TREE:
+                found.append(Violation("liveout", "<instance>",
+                                       "liveout is only defined for linear codes"))
+            # the uses, at known points, that their variable's first
+            # definition d does not dominate
+            for ins in self.instructions if doubt else ():
+                i = pos.get(ins.at)
+                for v in sorted(ins.uses) if len(ins.uses) > 1 else ins.uses:
+                    if i is None or v not in doubt:
+                        continue
+                    d = doubt[v]
+                    if d is None:
+                        detail = f"used at {ins.at} but never defined and not live-in"
+                    elif block and i <= d:
+                        detail = f"use at {ins.at} precedes definition at {order[d]}"
+                    elif not block and not d <= i <= end[d]:
+                        detail = (f"use at {ins.at} is outside the subtree of "
+                                  f"definition {order[d]}")
+                    else:
+                        continue
+                    found.append(Violation("dominance", v, detail))
 
-    def _subtree(self, d, uses):
-        """The live sample runs of a tree variable of sound code, defined
-        at d (None for live-in) and used at `uses`. Its range is the union
-        of the walks from each use up to d, or to the root; each point is
-        walked once."""
-        pos, parent_of = self.point_pos, self.parent_of
-        rng = {self.point_order[0] if d is None else d}
-        for u in uses:
-            while u not in rng:
-                rng.add(u)
-                u = parent_of[u]
-        has_kid = {parent_of[q] for q in rng}
-        runs = []
-        for p in rng:
-            # live before p's instruction unless defined there; live
-            # after it if the range goes on into a child, or if the
-            # variable is defined at p and never used
-            first = 2 * pos[p] + (p == d)
-            last = 2 * pos[p] + (p in has_kid or (p == d and len(rng) == 1))
-            if first <= last:
-                runs.append((first, last))
-        return runs
+        self.violations = tuple(found)
+        self.problem = str(found[0]) if found else None
+        if found:  # code that breaks a rule has no liveness
+            self.spans, self.omega = {}, 0
+            self.live_masks = self.chad_masks = (0,) * (2 * npts)
+            return
+        self.spans = spans
+        chads = [0] * (2 * npts)
+        chads[0::2], chads[1::2] = chad_use, chad_def
+        self.chad_masks = tuple(chads)
+        del one  # the masks that no table holds go before the tables grow
+        if block:
+            self.live_masks = tuple(accumulate(flips[:-1], int.__xor__))
+            self.omega = max(accumulate(gain[:-1]), default=0)
+        else:
+            live = [0] * (2 * npts)
+            live[0::2], live[1::2] = walked, below
+            self.live_masks = tuple(live)
+            self.omega = max(map(int.bit_count, live), default=0)
 
     def chads(self, mode):
         """Per sample, the chad mask `mode` counts: chad_masks with holes,
@@ -465,28 +550,29 @@ def run_starts(columns):
     return [i for i, c in enumerate(columns) if i == 0 or c != columns[i - 1]]
 
 
-def _point_structure(shape, points):
-    """(order, violations) whatever the points: chain order or DFS
-    preorder with children by id, unreached points last; and what breaks
-    the points and shape rules, in validate()'s order."""
+def _point_structure(shape, ids, parents):
+    """(order, violations) whatever the points, given as their ids and
+    parents: chain order or DFS preorder with children by id, unreached
+    points last; and what breaks the points and shape rules, in
+    validate()'s order."""
     found = []
     bad = lambda code, subject, detail: found.append(
         Violation(code, subject, detail))
-    ids = [p.id for p in points]
-    if not points:
+    if not ids:
         bad("points", "<instance>", "instance has no points")
     if len(set(ids)) < len(ids):
         bad("points", "<instance>", "duplicate point ids")
     if shape == LINEAR:
-        for p in points:
-            if p.parent is not None:
-                bad("shape", f"point {p.id}", "linear code points take no parent")
+        if parents.count(None) < len(parents):
+            for p, q in zip(ids, parents):
+                if q is not None:
+                    bad("shape", f"point {p}", "linear code points take no parent")
         return sorted(ids), found
-    roots = [p.id for p in points if p.parent is None]
+    roots = [p for p, q in zip(ids, parents) if q is None]
     children = {p: [] for p in ids}
-    for p in points:
-        if p.parent is not None and p.parent in children:
-            children[p.parent].append(p.id)
+    for p, q in zip(ids, parents):
+        if q is not None and q in children:
+            children[q].append(p)
     for c in children.values():
         c.sort()
     order = []
@@ -507,12 +593,12 @@ def _point_structure(shape, points):
     if len(roots) != 1:
         bad("shape", "<instance>",
             f"tree code needs exactly one root, found {len(roots)}")
-    for p in points:
-        if p.parent is not None and p.parent not in children:
-            bad("shape", f"point {p.id}", f"unknown parent {p.parent}")
-    for p in points:
-        if p.id in unreached:
-            bad("shape", f"point {p.id}", "not reachable from the root")
+    for p, q in zip(ids, parents):
+        if q is not None and q not in children:
+            bad("shape", f"point {p}", f"unknown parent {q}")
+    for p in ids:
+        if p in unreached:
+            bad("shape", f"point {p}", "not reachable from the root")
     return order, found
 
 

@@ -155,6 +155,57 @@ class TestParse:
         assert "[livein/liveout] ghost: undeclared variable" in str(exc.value)
 
 
+# Records the grammar rejects: an <int> is -?[0-9]+, and an id list has
+# no empty element. Python's int() would read the first three as 10, 2
+# and 15, and splitting on commas would drop the empty ids; serialize
+# would then write other text. Each pairs the record with its message.
+OFF_GRAMMAR = {
+    "underscore point id": ("point 1_0", "bad point id '1_0'"),
+    "unicode point id": ("point \u0662", "bad point id '\u0662'"),
+    "underscore weight": ("var a weight 1_5", "bad rational '1_5'"),
+    "underscore parent": ("point 3 parent 0_1", "bad parent id '0_1'"),
+    "plus sign": ("instr +1 uses - defs a", "bad point id '+1'"),
+    "underscore denominator": ("var a weight 3/0_2", "bad rational '3/0_2'"),
+    "unicode span": ("var a weight 1 span \u0661..2", "bad span '\u0661..2'"),
+    "empty def": ("instr 1 uses - defs a,,b", "empty id in list 'a,,b'"),
+    "trailing comma": ("instr 1 uses a,b, defs -", "empty id in list 'a,b,'"),
+    "empty livein": ("livein ,", "empty id in list ','"),
+    "empty point": ("var a weight 1 points 1,,2", "bad point id ''"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_GRAMMAR))
+def test_only_the_grammars_tokens_parse(name):
+    record, message = OFF_GRAMMAR[name]
+    text = f"format spill-v1\nkind linear\npoint 1\n{record}\nvar b weight 1\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"line 4: {message}"
+
+
+# Records whose problem the loop over the records finds, each with its
+# message: the one reported is the first in file order.
+BROKEN = {
+    "bad id in a list": ("instr 2 uses a,1b defs -", "bad identifier '1b'"),
+    "bad weight": ("var c weight x", "bad rational 'x'"),
+    "duplicate point": ("point 1", "duplicate point 1"),
+    "unknown record": ("frobnicate 1", "unknown record kind 'frobnicate'"),
+}
+
+
+@pytest.mark.parametrize("first,second", [
+    (a, b) for a in sorted(BROKEN) for b in sorted(BROKEN) if a != b])
+def test_the_first_broken_record_is_reported(first, second):
+    head = ["format spill-v1", "kind linear", "point 1", "point 2",
+            "var a weight 1"]
+    text = "\n".join(head + [BROKEN[first][0], "instr 1 uses - defs a",
+                             BROKEN[second][0]]) + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, str(exc.value)) == (
+        6, f"line 6: {BROKEN[first][1]}")
+
+
 class TestSerialize:
     def test_deterministic(self):
         inst = parse(CODE)

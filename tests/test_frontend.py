@@ -12,9 +12,10 @@ from spillkit.errors import ParseError
 from spillkit.model import (LINEAR, TREE, Instance, Instruction, Point,
                             validate)
 
-from builders import (assert_no_liveness, random_linear_block,
-                      random_linear_code, random_linear_ranges,
-                      random_tree_code, random_tree_ranges, seeded)
+from builders import (assert_no_liveness, chain_tree_code,
+                      random_linear_block, random_linear_code,
+                      random_linear_ranges, random_tree_code,
+                      random_tree_ranges, seeded)
 from test_format import _spill_text
 from test_model import TOLERATED, _any_instance, assert_one_rule_set
 
@@ -116,6 +117,22 @@ def test_sound_draws_are_pinned():
 def test_builder_families_are_pinned():
     lines = _pinned(_builder_instances())
     assert _digest(lines) == "2c0928a1c10be026"
+
+
+def _benchmark_sized():
+    """Instances as large as the benchmark's: blocks and chain trees of
+    1,000 and 3,000 points, and a linear code of up to 1,000."""
+    rng = seeded(1123)
+    yield random_linear_block(rng, 1000)
+    yield random_linear_block(rng, 3000)
+    yield chain_tree_code(rng, 1000)
+    yield chain_tree_code(rng, 3000, wide=True)
+    yield random_linear_code(rng, h=2, n_max=1000, m_max=1000)
+
+
+def test_benchmark_sized_instances_are_pinned():
+    lines = _pinned(_benchmark_sized())
+    assert _digest(lines) == "10dbface2f1c4d7e"
 
 
 def test_parse_errors_are_pinned():
