@@ -16,7 +16,7 @@ from .errors import (
     SpillkitError,
     UnsupportedModeError,
 )
-from .fileformat import parse, parse_source, serialize
+from .fileformat import _is_int, parse, parse_source, serialize
 from .intervals import greedy_furthest, incremental_cover_dp, weighted_optimal
 # validate is unused here, but perfbench/spans.py wraps cli.validate
 from .model import (HOLES, LINEAR, NOHOLES, assign, empty_solution,
@@ -37,16 +37,14 @@ ALGOS = ("auto", "greedy", "flow", "dp-cover", "dp-fit", "dp-fit-holes",
 
 
 def _parse_target(text):
-    """'r=N' | 'omega-K' | 'few=K' -> (form, value)."""
-    if text.startswith("r="):
-        return "r", int(text[2:])
-    if text.startswith("omega-"):
-        k = int(text[len("omega-"):])
-        if k < 1:
-            raise ValueError("omega-k needs k >= 1")
-        return "omega", k
-    if text.startswith("few="):
-        return "few", int(text[len("few="):])
+    """'r=N' | 'omega-K' | 'few=K' -> (form, value); N and K are
+    integers of the format's grammar, -?[0-9]+."""
+    for form, prefix in (("r", "r="), ("omega", "omega-"), ("few", "few=")):
+        value = text[len(prefix):]
+        if text.startswith(prefix) and _is_int(value):
+            if form == "omega" and int(value) < 1:
+                raise ValueError("omega-k needs k >= 1")
+            return form, int(value)
     raise ValueError(f"bad target {text!r}; use r=<N>, omega-<k> or few=<k>")
 
 

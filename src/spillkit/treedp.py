@@ -3,12 +3,16 @@
 The DPs run on the tree of samples that Instance.up gives (a block's
 samples form a chain). State at a sample: the *kept* subset of its live
 set (a fitting set), an integer mask in a table of kept mask -> kept
-weight at and below the sample. Bottom-up, a sample's states extend its
-first child's best state per shared mask with the variables live at the
-sample and not at that child, and keep those that every further child's
-best state agrees with; live ranges are connected subtrees, so
-children's private variables never interact. A child whose live
-variables are all live at its parent passes its own table up. Equal
+weight at and below the sample. The state budget is charged for all
+samples before one pass, from the last sample to the first, builds the
+tables. In preorder, i's first child is i + 1 exactly when up[i + 1] is
+i: i extends that child's best state per shared mask with the variables
+new at i, and keeps those that every later child's best state agrees
+with (live ranges are connected subtrees, so children's private
+variables never interact). A child whose live variables are all live at
+i passes its table up. A child's table is dropped once i has used it,
+so only later children waiting for their parent hold one. The answer is
+read back top-down in preorder through one projection per child. Equal
 weights go to fewer variables, then to the state holding the lowest
 variable they differ in. With holes the fitting predicate also counts
 the chads of everything spilled, which only shrinks the state families.
@@ -17,7 +21,6 @@ the chads of everything spilled, which only shrinks the state families.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 from math import comb
 
 from .errors import BudgetExceededError, InfeasibleError
@@ -59,78 +62,72 @@ def _solve_fitting(instance, k, holes, state_budget):
     if instance.omega <= k:
         return empty_solution(instance, mode, algo)
 
-    if holes:  # the chad floor
-        for (pt, mom), ch in zip(instance.samples, chad):
-            if ch.bit_count() > k:
-                raise InfeasibleError(
-                    f"even the full spill leaves pressure {ch.bit_count()} > {k} "
-                    f"at point {pt} ({mom} moment)", witness=(pt, mom))
+    if holes and max(map(int.bit_count, chad)) > k:  # the chad floor
+        i = next(i for i, ch in enumerate(chad) if ch.bit_count() > k)
+        pt, mom = instance.samples[i]
+        raise InfeasibleError(
+            f"even the full spill leaves pressure {chad[i].bit_count()} > {k} "
+            f"at point {pt} ({mom} moment)", witness=(pt, mom))
 
-    live = instance.live_masks
-    below = [[] for _ in live]  # per sample, the samples just below it
-    for i, u in enumerate(instance.up[1:], 1):  # sample 0 is the root
-        below[u].append(i)
+    up, live, n = instance.up, instance.live_masks, len(instance.samples)
+    charge = [sum(comb(m, size) for size in range(min(k, m) + 1))
+              for m in range(instance.omega + 1)]  # per live-set size
+    if sum(map(charge.__getitem__, map(int.bit_count, live))) > state_budget:
+        raise BudgetExceededError(
+            f"fitting-set DP exceeded its budget of {state_budget} "
+            "candidate sets; use weighted_optimal for linear instances "
+            "or the exact oracle")
     weight = cache(instance.int_weight)  # kept mask -> scaled weight
-    charge = [sum(comb(n, size) for size in range(min(k, n) + 1))
-              for n in range(instance.omega + 1)]  # per live-set size
-    steps = work = 0  # work: candidate fitting sets charged to state_budget
 
-    # tables[i]: {kept mask -> kept weight}; down[i]: per child c, None if c
-    # keeps f & live[c] of i's kept f, else {f & live[c] -> c's kept mask}
-    tables = [None] * len(instance.samples)
-    down = [None] * len(instance.samples)
-    for i in reversed(range(len(instance.samples))):
-        work += charge[live[i].bit_count()]
-        if work > state_budget:
-            raise BudgetExceededError(
-                f"fitting-set DP exceeded its budget of {state_budget} "
-                "candidate sets; use weighted_optimal for linear instances "
-                "or the exact oracle")
-        kids = below[i]
-        if kids:
-            # the first child's best state per shared mask (f & live[i]),
-            # or its own table if all its live variables are live at i
-            c = kids[0]
-            best, table = ((None, tables[c]) if not live[c] & ~live[i]
-                           else _best(tables[c], live[i]))
-            new = live[i] & ~live[c]
-            down[i] = [(c, best)]
+    # table: {kept mask -> kept weight} of the sample just built; proj[c]:
+    # None if c passes its table up, else {shared mask -> c's kept mask};
+    # waiting: parent -> [(c, c's table)] of its later children, last first
+    proj, waiting, table, steps = [None] * n, {}, None, 0
+    for i in reversed(range(n)):
+        li = live[i]
+        if i + 1 < n and up[i + 1] == i:  # i + 1 is i's first child
+            lc = live[i + 1]
+            if lc & ~li:
+                proj[i + 1], table = _best(table, li)
+            new = li & ~lc
         else:
-            table, new, down[i] = {0: 0}, live[i], []
-        if new:  # extend by each set of variables new at i that fits
-            ones = [1 << b for b in bits(new)]
-            wts = [instance.int_weights[m.bit_length() - 1] for m in ones]
-            by_size = [list(zip(map(sum, combinations(ones, s)),
-                                map(sum, combinations(wts, s))))
-                       for s in range(min(k, len(ones)) + 1)]
-            table = {key | g: cost + wg for key, cost in table.items()
-                     for part in by_size[:k + 1 - key.bit_count()]
-                     for g, wg in part}
+            table, new = {0: 0}, li
+        if new & new - 1:  # extend by each set of new variables that fits
+            grow = [(f, cost) for f, cost in table.items() if f.bit_count() < k]
+            for b in bits(new):  # each pass makes only states not yet made
+                one, w = 1 << b, instance.int_weights[b]
+                more = [(f | one, cost + w) for f, cost in grow]
+                table.update(more)
+                grow += [fc for fc in more if fc[0].bit_count() < k]
+        elif new:  # one new variable: one dict merge
+            w = instance.int_weights[new.bit_length() - 1]
+            table.update({f | new: cost + w for f, cost in table.items()
+                          if f.bit_count() < k})
         if ch := chad[i]:
             table = {f: cost for f, cost in table.items()
-                     if f.bit_count() + (ch & ~f).bit_count() <= k}
+                     if (f | ch).bit_count() <= k}
         steps += len(table)
-        for c in kids[1:]:
-            best, top = ((None, tables[c]) if not live[c] & ~live[i]
-                         else _best(tables[c], live[i]))
-            down[i].append((c, best))
+        for c, top in reversed(waiting.pop(i, ())):
+            if (lc := live[c]) & ~li:
+                proj[c], top = _best(top, li)
             # add c's kept weight less the shared part, counted already
             extra = {key: cost - weight(key) for key, cost in top.items()}
-            lc = live[c]
             steps += len(table)
             table = {f: cost + e for f, cost in table.items()
                      if (e := extra.get(f & lc)) is not None}
         # never empty: past the chad floor, kept mask 0 fits every sample
         # and is in every child's table, so it survives each step
-        tables[i] = table
+        if i and up[i] != i - 1:
+            waiting.setdefault(up[i], []).append((i, table))
 
-    kept = 0
-    stack = [(0, _best(tables[0], 0)[0][0])]  # the best state at the root
-    while stack:
-        i, f = stack.pop()
-        kept |= f
-        stack.extend((c, f & live[c] if best is None else best[f & live[c]])
-                     for c, best in down[i])
+    # top-down in preorder; a child that passed its table up keeps its
+    # parent's f, whose bits not live at the child are live nowhere below
+    f = [_best(table, 0)[0][0]] * n  # the best state at the root
+    kept = f[0]
+    for c in range(1, n):
+        p = proj[c]
+        f[c] = fc = f[up[c]] if p is None else p[f[up[c]] & live[c]]
+        kept |= fc
     spilled = instance.decode((1 << instance.n_vars) - 1 & ~kept)
     return spill_solution(instance, spilled, pressure(instance, spilled, mode),
                           algo, steps)

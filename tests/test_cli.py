@@ -232,6 +232,22 @@ def test_refused_requests_are_usage_errors(algo, mode, target, message,
                str(f)) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("target", ["r=1_0", "few=٢", "omega-+1", "r= 2",
+                                    "r=", "few=1.0"])
+def test_targets_take_the_formats_integers_only(target, tmp_path):
+    # N and K are -?[0-9]+ as in a spill-v1 file: int() would read r=1_0
+    # as 10, few=٢ as 2, omega-+1 as 1 and r= 2 as 2
+    f, sol = tmp_path / "code.spill", tmp_path / "sol.json"
+    f.write_text(THREE)
+    sol.write_text('{"solution": {"spilled": []}}')
+    message = f"error: bad target {target!r}; use r=<N>, omega-<k> or few=<k>\n"
+    assert cli("solve", "--target", target, "--mode", "noholes",
+               str(f)) == (1, "", message)
+    code, _, err = cli("check", "--solution", str(sol), "--target", target,
+                       "--mode", "noholes", str(f))
+    assert (code, err) == (1, message)
+
+
 class TestAutoDispatch:
     def test_unweighted_linear_goes_greedy(self, tmp_path):
         f = tmp_path / "u.spill"

@@ -1,5 +1,6 @@
 import hashlib
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -21,6 +22,7 @@ from spillkit.model import (
     Point,
     pressure,
 )
+from spillkit import treedp
 from spillkit.oracle import brute_force, verify
 from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
@@ -110,6 +112,24 @@ class TestFittingSetDp:
         assert fitting_set_dp(inst, 2, state_budget=3284) == sol
         with pytest.raises(BudgetExceededError):
             fitting_set_dp(inst, 2, state_budget=3283)
+
+    @pytest.mark.parametrize("solve", [fitting_set_dp, fitting_set_dp_holes])
+    def test_budget_stops_the_dp_before_any_state(self, solve, monkeypatch):
+        # the charge of every sample is summed before the first table is
+        # built, so a budget one short of it raises before any child's
+        # best states are taken, even those of the deepest samples
+        inst = chain_tree_code(seeded(29), 40)
+        k = 2
+        total = sum(comb(len(live), s) for live in inst.live_at
+                    for s in range(min(k, len(live)) + 1))
+        assert solve(inst, k, state_budget=total).proven_optimal
+
+        def fail(table, mask):
+            raise AssertionError("a state was built past the budget")
+
+        monkeypatch.setattr(treedp, "_best", fail)
+        with pytest.raises(BudgetExceededError):
+            solve(inst, k, state_budget=total - 1)
 
     def test_negative_k_rejected(self):
         inst = Instance.from_ranges(LINEAR, [Point(1)], {"a": [1]}, {"a": 1})
