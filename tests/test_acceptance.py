@@ -8,10 +8,13 @@ criterion's brute-force answers come from an `lru_cache`d builder, so
 criterion 11 sees the same cases whichever tests ran before it.
 """
 
+import gc
 import hashlib
 import sys
 from dataclasses import replace
 from functools import lru_cache
+
+import pytest
 
 from spillkit.errors import InfeasibleError
 from spillkit.fileformat import parse, serialize
@@ -148,6 +151,17 @@ def _c8_graphs():
             out.append((g, _checked(gen_indepset_h2(g), pool),
                         _checked(gen_indepset_h1(g), pool)))
     return tuple(out)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _release_caches():
+    """Free the cached criterion results when the module ends, so that no
+    later full collection walks them."""
+    yield
+    for builder in (_c1_optima, _c2_optima, _c5_optima, _c6_optima,
+                    _c7_optima, _c8_x3c, _c8_cover, _c8_graphs):
+        builder.cache_clear()
+    gc.collect()
 
 
 def test_c01_greedy_optimality():

@@ -1,6 +1,10 @@
-"""Every name a module imports at its top level is used or exported."""
+"""Every name a module imports at its top level is used or exported, and
+the CLI starts without the numpy-backed sweeps."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,13 @@ def test_no_unused_imports(path):
 def test_kept_names_are_still_imported_and_unused():
     for rel, name in KEPT:
         assert name in unused_imports(ast.parse((ROOT / rel).read_text()))
+
+
+def test_cli_start_up_leaves_numpy_and_the_sweeps_out():
+    """`import spillkit` is all the CLI workloads' set-up time measures."""
+    code = ("import sys, spillkit, spillkit.cli; "
+            "print(sorted({'numpy', 'spillkit.sweeps'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -3,12 +3,15 @@ enumerated classes, and a brute-force isomorphism reference that checks
 them at sizes where trying every element permutation is cheap."""
 
 import hashlib
+import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
-from spillkit.errors import SizeCapError
+from spillkit.errors import SizeCapError, SpillkitError
 from spillkit.sweeps import (
+    _Relabelings,
     cover_sources,
     family_classes,
     graph_classes,
@@ -129,7 +132,68 @@ def test_graphs_match_the_reference(n):
 
 
 # ---------------------------------------------------------------------
-# Sizes the bitset encodings cannot hold
+# The grouping key: equal exactly on isomorphic families
+# ---------------------------------------------------------------------
+
+def _set_relabelings(g):
+    masks = np.arange(1, 1 << g)  # member u is mask u + 1
+    return _Relabelings(g, masks, 63 - masks, np.argmax)
+
+
+def _assert_complete(keys, canons):
+    """Equal keys exactly where the reference canonical forms agree."""
+    assert len(set(zip(keys, canons))) == len(set(keys)) == len(set(canons))
+
+
+def _candidates(g, below):
+    return [fam + (m,) for fam in below for m in range(1, 1 << g)
+            if m not in fam]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_set_grouping_key_is_a_complete_invariant(g):
+    rel = _set_relabelings(g)
+    below = [()]
+    for level in _by_size(family_classes(g, 5)):
+        cand = _candidates(g, below)
+        keys = rel.grouping_keys(np.array(cand, dtype=np.uint8) - 1)
+        _assert_complete(keys.tolist(), [_canon_sets(g, fam) for fam in cand])
+        below = level
+
+
+def test_set_grouping_key_on_sampled_pairs_at_ground_5():
+    """A seeded sample of each level's candidates, each with a relabeled
+    copy: distinct samples are rarely isomorphic, copies always are."""
+    g, rng = 5, random.Random(26)
+    perms = list(permutations(range(g)))
+    rel = _set_relabelings(g)
+    below = [()]
+    for level in _by_size(family_classes(g, 5)):
+        cand = _candidates(g, below)
+        sample = rng.sample(cand, min(len(cand), 80))
+        for fam in sample[:]:
+            p = rng.choice(perms)
+            sample.append(tuple(sum(1 << p[b] for b in range(g) if m >> b & 1)
+                                for m in fam))
+        keys = rel.grouping_keys(np.array(sample, dtype=np.uint8) - 1)
+        _assert_complete(keys.tolist(), [_canon_sets(g, fam) for fam in sample])
+        below = level
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_graph_grouping_key_is_a_complete_invariant(n):
+    slots = list(combinations(range(n), 2))
+    masks = np.array([1 << a | 1 << b for a, b in slots])
+    rel = _Relabelings(n, masks, np.arange(len(slots)), np.argmin)
+    for k in range(1, len(slots) + 1):
+        graphs = list(combinations(range(len(slots)), k))
+        keys = rel.grouping_keys(np.array(graphs, dtype=np.uint8))
+        _assert_complete(keys.tolist(), [
+            _canon_graph(n, [slots[i] for i in edges]) for edges in graphs])
+
+
+# ---------------------------------------------------------------------
+# Sizes the bitset encodings cannot hold, and sizes below the range
 # ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("call", [
@@ -140,3 +204,23 @@ def test_graphs_match_the_reference(n):
 def test_sizes_beyond_the_encoding_are_refused(call):
     with pytest.raises(SizeCapError):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: family_classes(-1, 5), "g"),
+    (lambda: family_classes(3, -1), "family_max"),
+    (lambda: graph_classes(-1), "n"),
+    (lambda: triple_family_classes(-3, 2), "n_elems"),
+    (lambda: list(cover_sources(2, -1)), "family_max"),
+], ids=["ground", "family", "graph", "triples", "cover"])
+def test_negative_sizes_are_refused_by_name(call, name):
+    with pytest.raises(SpillkitError, match=f"^{name} must be >= 0"):
+        call()
+
+
+def test_zero_sizes_enumerate_only_what_exists():
+    assert family_classes(0, 5) == []  # no nonempty member to take
+    assert family_classes(3, 0) == []
+    assert triple_family_classes(6, 0) == []
+    assert graph_classes(0) == [()]  # the one graph on no vertices
+    assert list(cover_sources(0, 5)) == list(graphs_upto(0)) == []
