@@ -16,7 +16,7 @@ from .errors import (
     SpillkitError,
     UnsupportedModeError,
 )
-from .fileformat import _is_int, parse, parse_source, serialize
+from .fileformat import _ids, _is_int, parse, parse_source, serialize
 from .intervals import greedy_furthest, incremental_cover_dp, weighted_optimal
 # validate is unused here, but perfbench/spans.py wraps cli.validate
 from .model import (HOLES, LINEAR, NOHOLES, assign, empty_solution,
@@ -242,8 +242,7 @@ def _cert_json(cert):
 
 def _cmd_pressure(args, out, err):
     inst = parse(_read(args.file))
-    spilled = set(args.spill.split(",")) - {""} if args.spill else set()
-    prof = pressure(inst, spilled, args.mode)
+    prof = pressure(inst, _ids(args.spill, None), args.mode)
     for (p, m), val in zip(prof.samples, prof.values):
         out.write(f"{p} {m} {val}\n")
     out.write(f"max {prof.max_pressure}\n")
@@ -287,7 +286,8 @@ def build_parser():
 
     pp = sub.add_parser("pressure", help="print per-sample register pressure")
     pp.add_argument("--mode", default=NOHOLES, choices=(HOLES, NOHOLES))
-    pp.add_argument("--spill", help="comma-separated spilled variables")
+    pp.add_argument("--spill", default="-",
+                    help="comma-separated spilled variables, - for none")
     pp.add_argument("file")
     return ap
 

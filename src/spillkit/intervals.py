@@ -36,8 +36,8 @@ def greedy_furthest(instance, r, mode=NOHOLES):
         raise ValueError("register count r must be >= 0")
     # per bit, the sample its range ends at; live-out ranges end past the
     # block, so they are always preferred at equal ends
-    end = [len(instance.samples) if v in instance.liveout
-           else instance.spans[v][1] for v in instance.var_ids]
+    end = [len(instance.samples) if v in instance.liveout else e
+           for v, (_, e) in zip(instance.var_ids, instance.spans)]
     live = instance.live_masks
     spilled = 0
     steps = 0
@@ -56,7 +56,8 @@ def greedy_furthest(instance, r, mode=NOHOLES):
 
 
 def _flow_solve(instance, r):
-    """Returns (spilled set, flow per variable arc, dijkstra pops).
+    """Returns (spill mask, flow per bit over its variable arc, dijkstra
+    pops).
 
     A node per segment boundary of the sample chain, a chain arc per
     segment (capacity omega, cost 0) and an arc per variable over
@@ -70,13 +71,13 @@ def _flow_solve(instance, r):
     """
     spans = instance.spans
     coords = sorted({0, len(instance.samples)}.union(
-        *((s, e + 1) for s, e in spans.values())))
+        *((s, e + 1) for s, e in spans)))
     node = {c: i for i, c in enumerate(coords)}
     n = len(coords)
-    arcs = [(v, node[spans[v][0]], node[spans[v][1] + 1], w)
-            for v, w in zip(instance.var_ids, instance.int_weights)]
+    arcs = [(node[s], node[e + 1], w)
+            for (s, e), w in zip(spans, instance.int_weights)]
     load = [0] * n  # live variables over segment i, as differences first
-    for _, a, b, _ in arcs:
+    for a, b, _ in arcs:
         load[a] += 1
         load[b] -= 1
     load = list(accumulate(load))
@@ -84,10 +85,10 @@ def _flow_solve(instance, r):
     forward = r <= omega - r  # from the empty flow, else the all-kept one
 
     # arc e runs to head[e] with residual capacity cap[e]; arc e ^ 1 is
-    # its reverse, and arc 2j belongs to arcs[j]
+    # its reverse, and arc 2j is bit j's variable arc, arcs[j]
     head, cap, cost = [], [], []
     out = [[] for _ in range(n)]
-    for _, a, b, w in arcs:
+    for a, b, w in arcs:
         out[a].append(len(head))
         out[b].append(len(head) + 1)
         head += (b, a)
@@ -143,8 +144,8 @@ def _flow_solve(instance, r):
             cap[e ^ 1] += push
         want -= push
 
-    flows = {v: cap[2 * j + 1] for j, (v, _, _, _) in enumerate(arcs)}
-    return {v for v, f in flows.items() if not f}, flows, pops
+    flows = cap[1:2 * len(arcs):2]
+    return sum(1 << b for b, f in enumerate(flows) if not f), flows, pops
 
 
 def weighted_optimal(instance, r, mode=NOHOLES):
@@ -162,10 +163,11 @@ def weighted_optimal(instance, r, mode=NOHOLES):
     if r < 0:
         raise ValueError("register count r must be >= 0")
     if instance.omega <= r:
-        spilled, steps = (), 0
+        spilled, steps = 0, 0
     else:
         spilled, flows, steps = _flow_solve(instance, r)
-        assert all(x in (0, 1) for x in flows.values())
+        assert all(x in (0, 1) for x in flows)
+    spilled = instance.decode(spilled)
     return spill_solution(instance, spilled, pressure(instance, spilled, NOHOLES),
                           "flow", steps)
 
@@ -184,7 +186,8 @@ def incremental_cover_dp(instance, mode=NOHOLES):
     if omega == 0:
         return spill_solution(instance, (), pressure(instance, (), NOHOLES),
                               "dp-cover", 0)
-    live, spans, ids = instance.live_masks, instance.spans, instance.var_ids
+    live = instance.live_masks
+    start = [s for s, _ in instance.spans]
     peaks = [i for i in run_starts(live) if live[i].bit_count() == omega]
 
     # best[k]: (cost, chosen bit, predecessor peak index) covering peaks 0..k
@@ -194,7 +197,7 @@ def incremental_cover_dp(instance, mode=NOHOLES):
         cand = None
         for b in bits(live[i]):
             steps += 1
-            pred = bisect_left(peaks, spans[ids[b]][0]) - 1
+            pred = bisect_left(peaks, start[b]) - 1
             below = best[pred][0] if pred >= 0 else 0
             c = instance.int_weights[b] + below
             if cand is None or c < cand[0]:

@@ -18,7 +18,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, count, filterfalse, takewhile
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import MalformedCodeError, UnsupportedModeError
 
@@ -37,35 +37,15 @@ def check_mode(mode):
         raise ValueError(f"unknown pressure mode {mode!r}")
 
 
-# Point and Instruction are frozen dataclasses whose __init__ sets each
-# slot through its own setter, bound once below, rather than through a
-# lookup of object.__setattr__ per field: parse makes one per record.
-
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(NamedTuple):
     id: int
     parent: Optional[int] = None
 
-    def __init__(self, id, parent=None):
-        _set_id(self, id)
-        _set_parent(self, parent)
 
-
-@dataclass(frozen=True, slots=True)
-class Instruction:
+class Instruction(NamedTuple):
     at: int
     uses: frozenset
     defs: frozenset
-
-    def __init__(self, at, uses, defs):
-        _set_at(self, at)
-        _set_uses(self, uses)
-        _set_defs(self, defs)
-
-
-_set_id, _set_parent = Point.id.__set__, Point.parent.__set__
-_set_at, _set_uses, _set_defs = (Instruction.at.__set__, Instruction.uses.__set__,
-                                 Instruction.defs.__set__)
 
 
 @dataclass(frozen=True)
@@ -87,9 +67,6 @@ class PressureProfile:
     @property
     def max_pressure(self):
         return max(self.values) if self.values else 0
-
-    def at(self, point, moment):
-        return self.values[self.samples.index((point, moment))]
 
 
 @dataclass(frozen=True)
@@ -113,10 +90,12 @@ class Instance:
     derived tables (sample order, live and chad masks, spans, integer
     weights, omega, h) are frozen. Bit i of a mask stands for var_ids[i],
     the sorted ids, and bit_of[var_ids[i]] is i; int_weights[i] is its
-    weight times `scale`, the lcm of the weights' denominators; spans[v]
-    is the first and last sample at which v is live. The masks are the
-    instance's only liveness tables; live_at and chads_at decode them;
-    chads(mode) picks them by mode.
+    weight times `scale`, the lcm of the weights' denominators; spans[i]
+    is the first and last sample at which bit i is live. Every table a
+    solver reads is indexed by bit or by sample; decode(mask) turns an
+    answer back into ids. The masks are the instance's only liveness
+    tables; chads(mode) picks them by mode. The records (Point,
+    Instruction) are named tuples.
 
     Construction never raises on malformed input. One pass over integer
     point positions (_derive) checks every rule of strict SSA code as it
@@ -124,7 +103,7 @@ class Instance:
     (what validate() returns), in a fixed order;
     `problem` is the first of them as text, or None. An instance with a
     problem keeps its records, samples, up and h but no liveness: its
-    masks are zero, omega is 0 and spans is empty. Every solver, and
+    masks are zero, omega is 0 and spans is (). Every solver, and
     pressure, calls require_sound() first.
 
     The samples form one tree, a chain on a block: up[i] is the sample
@@ -325,7 +304,7 @@ class Instance:
         # a tree's masks at the use and at the def moment of each point,
         # and the bit that last walked it
         walked, below, mark = [0] * npts, chad_def[:], [-1] * npts
-        spans = {}
+        spans = [None] * nv  # per bit: its first and last live sample
         doubt = {}  # var -> its first definition, where a use breaks dominance
         last = 2 * npts - 1
         clean = not found and not rules
@@ -351,7 +330,7 @@ class Instance:
                 if found:
                     continue
                 first, final = min(ps), max(ps)
-                spans[vid] = (2 * first, 2 * final + 1)
+                spans[b] = (2 * first, 2 * final + 1)
                 if block:
                     flips[2 * first] ^= one[b]
                     flips[2 * final + 2] ^= one[b]
@@ -380,7 +359,7 @@ class Instance:
             if not clean:
                 continue
             s1 = last if vid in liveout else 2 * final if final >= 0 else s0
-            spans[vid] = (s0, s1)
+            spans[b] = (s0, s1)
             if block:
                 if not s0:  # live-in
                     flips[0] ^= one[b]
@@ -431,10 +410,10 @@ class Instance:
         self.violations = tuple(found)
         self.problem = str(found[0]) if found else None
         if found:  # code that breaks a rule has no liveness
-            self.spans, self.omega = {}, 0
+            self.spans, self.omega = (), 0
             self.live_masks = self.chad_masks = (0,) * (2 * npts)
             return
-        self.spans = spans
+        self.spans = tuple(spans)
         chads = [0] * (2 * npts)
         chads[0::2], chads[1::2] = chad_use, chad_def
         self.chad_masks = tuple(chads)
@@ -486,16 +465,6 @@ class Instance:
     def int_weight(self, mask):
         """Scaled weight of the variables in `mask`."""
         return sum(map(self.int_weights.__getitem__, bits(mask)))
-
-    @property
-    def live_at(self):
-        """Per-sample frozensets of live ids, decoded on every access."""
-        return tuple(map(self.decode, self.live_masks))
-
-    @property
-    def chads_at(self):
-        """Per-sample frozensets of chad ids, decoded on every access."""
-        return tuple(map(self.decode, self.chad_masks))
 
     def weight(self, vid):
         return Fraction(self.int_weights[self.bit_of[vid]], self.scale)
@@ -627,7 +596,11 @@ def pressure(instance, spilled, mode):
 
 
 def _mask(instance, spilled):
-    """The bit mask of the ids in `spilled`; ValueError on an unknown id."""
+    """The bit mask of the ids in `spilled`; ValueError on an unknown id,
+    and on a str, whose characters would read as one-character ids."""
+    if isinstance(spilled, str):
+        raise ValueError(f"spilled variables must be a collection of ids, "
+                         f"not the str {spilled!r}")
     spilled = frozenset(spilled)
     unknown = spilled.difference(instance.bit_of)
     if unknown:
@@ -673,8 +646,8 @@ def assign(instance, spilled, mode):
     instance.require_sound("assign")
     s = _mask(instance, spilled)
     born = defaultdict(int)  # sample -> the kept variables that start there
-    for v, (first, _) in instance.spans.items():
-        born[first] |= (1 << instance.bit_of[v]) & ~s
+    for b, (first, _) in enumerate(instance.spans):
+        born[first] |= (1 << b) & ~s
     ids, out = instance.var_ids, {}
     for i, (lm, cm) in enumerate(zip(instance.live_masks,
                                      instance.chads(mode))):

@@ -151,7 +151,7 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
     # rows that variable i relieves (live there, not a chad); need[i] the
     # most any of them is over; row_vars[j] the variables relieving over
     # row j.
-    ids, int_weights = instance.var_ids, instance.int_weights
+    int_weights = instance.int_weights
     rows_of = [[] for _ in range(n)]
     need = [0] * n
     row_vars = []
@@ -168,15 +168,15 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
             row_chads.append(cm)
 
     # Cheap, high-relief variables first, by weight / |R| as the exact
-    # integer weight * (lcm / |R|).
+    # integer weight * (lcm / |R|); the stable sort keeps ties in id order.
     scale = lcm(*filter(None, map(len, rows_of)))
 
     def sort_key(i):
         if not rows_of[i]:
-            return (1, 0, ids[i])
-        return (0, int_weights[i] * (scale // len(rows_of[i])), ids[i])
+            return (1, 0)
+        return (0, int_weights[i] * (scale // len(rows_of[i])))
 
-    # Bit i of the search stands for variable order[i]: the nb branching
+    # Bit i of the search stands for instance bit perm[i]: the nb branching
     # variables in branching order, then those decided as kept up front.
     # Renumbered rows stay distinct and are sorted again, as encode sorts
     # them, by the key live << n | chad.
@@ -189,7 +189,6 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
             + [i for i in first if dropped[i]])
     nb = n - sum(dropped)
     branch = (1 << nb) - 1
-    order = [ids[i] for i in perm]
     weights = [int_weights[i] for i in perm]
     to_new = [0] * n
     for new, old in enumerate(perm):
@@ -317,6 +316,6 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
     if best_cost is None:
         return empty_solution(instance, mode, "bnb", steps, feasible=False,
                               proven=not budget_hit)
-    spilled = frozenset(map(order.__getitem__, bits(best_mask)))
+    spilled = instance.decode(sum(1 << perm[b] for b in bits(best_mask)))
     return spill_solution(instance, spilled, pressure(instance, spilled, mode),
                           "bnb", steps, proven=not budget_hit)

@@ -259,13 +259,18 @@ def assert_registers(inst, spilled, mode):
     return most
 
 
+def decoded(inst, masks):
+    """Per sample, the frozenset of ids in each of `masks`."""
+    return tuple(map(inst.decode, masks))
+
+
 def assert_no_liveness(inst):
     """An unsound instance keeps its record and no liveness: zero masks,
     omega 0, no spans; pressure and verify refuse it."""
     assert inst.problem
     zero = (0,) * len(inst.samples)
     assert inst.live_masks == inst.chad_masks == zero
-    assert inst.omega == 0 and inst.spans == {}
+    assert inst.omega == 0 and inst.spans == ()
     refusal = f"^pressure needs a valid instance; {re.escape(inst.problem)}$"
     with pytest.raises(MalformedCodeError, match=refusal):
         pressure(inst, (), NOHOLES)

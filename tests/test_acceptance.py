@@ -48,6 +48,7 @@ from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
 from builders import (
     assert_registers,
+    decoded,
     random_linear_code,
     random_linear_ranges,
     random_tree_code,
@@ -177,7 +178,7 @@ def test_c02_weighted_optimality_and_integrality():
             got = weighted_optimal(inst, r)
             assert got.cost == want.cost, (inst, r)
         _, flows, _ = _flow_solve(inst, max(0, inst.omega - 1))
-        assert all(f in (0, 1) for f in flows.values())
+        assert len(flows) == inst.n_vars and set(flows) <= {0, 1}
     _passed("C2 weighted flow optimum matches + flows are integral")
 
 
@@ -249,7 +250,7 @@ def test_c07_extra_set_dp_and_cardinality_bound():
             assert want.feasible and got.cost == want.cost, (inst, k)
         cap = 2 * (h + k)
         for spilled in optima:
-            for live in inst.live_at:
+            for live in decoded(inst, inst.live_masks):
                 assert len(live & spilled) <= cap, (inst, k)
     _passed("C7 extra-set DP optimal + per-point spilled-cardinality bound")
 

@@ -542,3 +542,14 @@ class TestPressure:
     def test_spilled_profile(self, belady_file):
         code, out, _ = cli("pressure", "--spill", "a,b,c", belady_file)
         assert out.strip().splitlines()[-1] == "max 0"
+
+    @pytest.mark.parametrize("spill", ["a,,b", ",", "a,", ""])
+    def test_spill_list_takes_the_format_grammar(self, belady_file, spill):
+        # as an id list in the format: no element may be empty
+        code, out, err = cli("pressure", "--spill", spill, belady_file)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "empty id in list" in err
+
+    def test_dash_spills_nothing(self, belady_file):
+        assert cli("pressure", "--spill", "-", belady_file)[:2] == \
+            cli("pressure", belady_file)[:2]

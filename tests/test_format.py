@@ -15,6 +15,7 @@ from spillkit.reductions import (
 )
 
 from builders import (
+    decoded,
     random_linear_code,
     random_linear_ranges,
     random_tree_code,
@@ -49,7 +50,7 @@ class TestParse:
     def test_code_backed_ranges_derived(self):
         inst = parse(CODE)
         # samples (1, use) (1, def) (2, use) (2, def)
-        assert inst.live_at == (fs(), fs("a"), fs("a"), fs())
+        assert decoded(inst, inst.live_masks) == (fs(), fs("a"), fs("a"), fs())
 
     def test_zero_weight_is_semantic_error(self):
         # construction's weight rule, reported at the var's record
@@ -136,7 +137,7 @@ class TestParse:
                for p in range(1, m + 1)])
         with within(5.0):
             inst = parse(text)
-        assert inst.n_vars == m and inst.spans["v1"][0] == 0
+        assert inst.n_vars == m and inst.spans[inst.bit_of["v1"]][0] == 0
 
     def test_invalid_code_parses_in_linear_time(self):
         # 30,000 points and variables, and one undeclared live-in name: on

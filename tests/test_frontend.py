@@ -48,8 +48,9 @@ def _tables(inst):
     before it."""
     report = [str(v) for v in validate(inst)]
     return repr((inst.samples, inst.live_masks, inst.chad_masks,
-                 sorted(inst.spans.items()), inst.int_weights, inst.scale,
-                 inst.omega, inst.h, report[0] if report else None, report))
+                 sorted(zip(inst.var_ids, inst.spans)), inst.int_weights,
+                 inst.scale, inst.omega, inst.h,
+                 report[0] if report else None, report))
 
 
 def _pinned(insts):

@@ -107,8 +107,11 @@ class TestWeightedOptimal:
         for _ in range(40):
             inst = random_linear_ranges(rng, n_max=10, m_max=14, w_max=20)
             r = rng.randint(0, inst.omega)
-            _, flows, _ = _flow_solve(inst, r)
-            assert all(f in (0, 1) for f in flows.values())
+            mask, flows, _ = _flow_solve(inst, r)
+            # one flow per bit, integral; the spilled bits carry none
+            assert len(flows) == inst.n_vars and set(flows) <= {0, 1}
+            assert mask == sum(1 << b for b, f in enumerate(flows) if not f)
+            assert inst.decode(mask) == weighted_optimal(inst, r).spilled
 
     def test_never_live_variable_is_refused(self):
         # c has an empty range, which no strict SSA variable has
@@ -135,7 +138,7 @@ class TestWeightedOptimal:
             for r in sorted({1, 2, om // 2, (om + 1) // 2, om - 2, om - 1}):
                 assert weighted_optimal(inst, r).cost == _simplex_cost(inst, r)
                 _, flows, _ = _flow_solve(inst, r)
-                assert set(flows.values()) <= {0, 1}
+                assert len(flows) == inst.n_vars and set(flows) <= {0, 1}
             assert weighted_optimal(inst, om - 1).cost == \
                 incremental_cover_dp(inst).cost
 
@@ -171,10 +174,10 @@ def _simplex_cost(inst, r):
     weight."""
     g = nx.MultiDiGraph()
     bounds = sorted({0, len(inst.samples)}.union(
-        *((s, e + 1) for s, e in inst.spans.values())))
+        *((s, e + 1) for s, e in inst.spans)))
     for a, b in zip(bounds, bounds[1:]):
         g.add_edge(a, b, capacity=r, weight=0)
-    for v, (s, e) in inst.spans.items():
+    for v, (s, e) in zip(inst.var_ids, inst.spans):
         g.add_edge(s, e + 1, capacity=1, weight=-int(inst.weight(v)))
     g.nodes[0]["demand"] = -r
     g.nodes[len(inst.samples)]["demand"] = r

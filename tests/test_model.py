@@ -32,7 +32,7 @@ from spillkit.punched import extra_set_dp
 from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
 from builders import (assert_no_liveness, assert_registers, chain_tree_code,
-                      random_linear_block, random_linear_code,
+                      decoded, random_linear_block, random_linear_code,
                       random_linear_ranges, random_tree_code,
                       random_tree_ranges, seeded, within)
 
@@ -225,12 +225,14 @@ class TestLiveRanges:
         inst = linear_code(3, [Instruction(1, frozenset(), frozenset({"a"})),
                                Instruction(3, frozenset({"a"}), frozenset())],
                            {"a": 1})
-        assert spelled(inst.live_at) == ["", "a", "a", "a", "a", ""]
+        assert spelled(decoded(inst, inst.live_masks)) == [
+            "", "a", "a", "a", "a", ""]
 
     def test_livein_to_last_use(self):
         inst = linear_code(3, [Instruction(2, frozenset({"b"}), frozenset())],
                            {"b": 1}, livein={"b"})
-        assert spelled(inst.live_at) == ["b", "b", "b", "", "", ""]
+        assert spelled(decoded(inst, inst.live_masks)) == [
+            "b", "b", "b", "", "", ""]
 
     def test_tree_union_of_paths(self):
         pts = [Point(1), Point(2, 1), Point(3, 2), Point(4, 2)]
@@ -239,7 +241,8 @@ class TestLiveRanges:
                   Instruction(4, frozenset({"a"}), frozenset())]
         inst = Instance.from_code(TREE, pts, instrs, {"a": 1})
         # samples in preorder 1, 2, 3, 4; a is dead below the leaf 3
-        assert spelled(inst.live_at) == ["", "a", "a", "a", "a", "", "a", ""]
+        assert spelled(decoded(inst, inst.live_masks)) == [
+            "", "a", "a", "a", "a", "", "a", ""]
 
     def test_undefined_use_is_malformed(self):
         inst = linear_code(1, [Instruction(1, frozenset({"ghost"}), frozenset())],
@@ -263,9 +266,10 @@ class TestPressure:
     def test_holes_keep_chads(self):
         inst = self.fixture()
         prof = pressure(inst, {"a"}, HOLES)
-        assert prof.at(1, DEF) == 1
-        assert prof.at(4, USE) == 1
-        assert prof.at(2, USE) == 0 and prof.at(3, DEF) == 0
+        at = dict(zip(prof.samples, prof.values))
+        assert at[1, DEF] == 1
+        assert at[4, USE] == 1
+        assert at[2, USE] == 0 and at[3, DEF] == 0
 
     def test_noholes_removes_everything(self):
         inst = self.fixture()
@@ -274,6 +278,21 @@ class TestPressure:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
             pressure(self.fixture(), {"zz"}, NOHOLES)
+
+    def test_str_spill_set_refused(self):
+        # with variables a, b and ab, the str "ab" is neither {"ab"} nor
+        # {"a", "b"}: pressure, verify and assign refuse it
+        abc = frozenset({"a", "b", "ab"})
+        inst = linear_code(2, [Instruction(1, frozenset(), abc),
+                               Instruction(2, abc, frozenset())],
+                           dict.fromkeys(abc, 1))
+        for call in (lambda s: pressure(inst, s, NOHOLES),
+                     lambda s: oracle.verify(inst, s, 1, NOHOLES),
+                     lambda s: assign(inst, s, NOHOLES)):
+            with pytest.raises(ValueError, match="not the str 'ab'"):
+                call("ab")
+        assert pressure(inst, {"ab"}, NOHOLES).max_pressure == 2
+        assert oracle.verify(inst, {"ab"}, 1, NOHOLES)
 
     def test_holes_need_code(self):
         inst = Instance.from_ranges(LINEAR, [Point(1)], {"a": [1]}, {"a": 1})
@@ -331,10 +350,10 @@ class TestChordal:
         inst = linear_code(3, [ins(1, defs="ab"), ins(2, "a"), ins(3, "b")],
                            {"a": 1, "b": 1})
         assert assign(inst, (), HOLES) == {"a": 0, "b": 1}
-        assert assign(inst, "a", NOHOLES) == {"b": 0}
-        assert assign(inst, "a", HOLES) == {
+        assert assign(inst, {"a"}, NOHOLES) == {"b": 0}
+        assert assign(inst, {"a"}, HOLES) == {
             "b": 0, ("a", 1, DEF): 1, ("a", 2, USE): 1}
-        assert assign(inst, "ab", HOLES) == {
+        assert assign(inst, {"a", "b"}, HOLES) == {
             ("a", 1, DEF): 0, ("b", 1, DEF): 1, ("a", 2, USE): 0,
             ("b", 3, USE): 0}
 
@@ -381,7 +400,7 @@ def test_spill_all_leaves_only_chads(seed):
     rng = seeded(seed)
     inst = random_tree_code(rng)
     prof = pressure(inst, set(inst.var_ids), HOLES)
-    expected = max((len(c) for c in inst.chads_at), default=0)
+    expected = max(map(int.bit_count, inst.chad_masks), default=0)
     assert prof.max_pressure == expected
     assert pressure(inst, set(inst.var_ids), NOHOLES).max_pressure == 0
 
@@ -429,8 +448,8 @@ def test_tolerated_malformed_code(form):
         assert_no_liveness(inst)
     else:
         live, chads = LIVENESS[form]
-        assert spelled(inst.live_at) == live
-        assert spelled(inst.chads_at) == chads
+        assert spelled(decoded(inst, inst.live_masks)) == live
+        assert spelled(decoded(inst, inst.chad_masks)) == chads
 
 
 def test_up_is_the_sample_tree():
@@ -662,28 +681,46 @@ def test_integer_weights_and_masks():
                      [ins(1, defs="ab"), ins(2, "a", "c"), ins(4, "bc"),
                       ins(3, "a")],
                      {"a": 1, "b": 2, "c": Fraction(1, 2)})
-    assert ["".join(sorted(s)) for s in inst.live_at] == [
+    assert spelled(decoded(inst, inst.live_masks)) == [
         "", "ab", "ab", "bc", "bc", "", "a", ""]
-    assert ["".join(sorted(s)) for s in inst.chads_at] == [
+    assert spelled(decoded(inst, inst.chad_masks)) == [
         "", "ab", "a", "c", "bc", "", "a", ""]
-    assert inst.spans == {"a": (1, 6), "b": (1, 4), "c": (3, 4)}
+    assert inst.spans == ((1, 6), (1, 4), (3, 4))
     live = (0, 3, 3, 6, 6, 0, 1, 0)
     chads = (0, 3, 1, 4, 6, 0, 1, 0)
     assert inst.scale == 2 and inst.int_weights == (2, 4, 1)
     assert inst.live_masks == live and inst.chad_masks == chads
-    assert tuple(map(inst.decode, live)) == inst.live_at
-    assert tuple(map(inst.decode, chads)) == inst.chads_at
 
-    # The same on seeded codes and ranges.
+    # The same on seeded codes and ranges: spans[b] is the first and the
+    # last sample whose live mask holds bit b, for every bit.
     rng = seeded(305)
-    for build in (random_tree_code, random_linear_code, random_tree_ranges):
+    for build in (random_tree_code, lambda rng: random_linear_code(rng, h=2),
+                  random_tree_ranges, random_linear_ranges,
+                  lambda rng: random_linear_block(rng, rng.randint(1, 30)),
+                  lambda rng: chain_tree_code(rng, rng.randint(1, 30))):
         for _ in range(20):
-            inst = (build(rng, h=2) if build is random_linear_code
-                    else build(rng))
+            inst = build(rng)
             assert [m.bit_count() for m in inst.live_masks] == \
-                [len(s) for s in inst.live_at]
+                [len(s) for s in decoded(inst, inst.live_masks)]
             assert [Fraction(w, inst.scale) for w in inst.int_weights] == \
                 [inst.weight(v) for v in inst.var_ids]
-            for v in inst.var_ids:
-                at = [i for i, s in enumerate(inst.live_at) if v in s]
-                assert inst.spans.get(v) == ((at[0], at[-1]) if at else None)
+            assert len(inst.spans) == inst.n_vars
+            for b, span in enumerate(inst.spans):
+                at = [i for i, m in enumerate(inst.live_masks) if m >> b & 1]
+                assert span == (at[0], at[-1])
+    for form in UNSOUND:
+        assert TOLERATED[form]().spans == ()
+
+
+def test_records_are_values():
+    """Points and instructions are immutable tuples: equal and hashed as
+    their fields, with the parent defaulting to None."""
+    assert hash(Point(1, 2)) == hash((1, 2)) and Point(1, 2) == (1, 2)
+    assert Point(3).parent is None
+    assert repr(Point(3)) == "Point(id=3, parent=None)"
+    ins_ = Instruction(1, frozenset("a"), frozenset())
+    assert hash(ins_) == hash((1, frozenset("a"), frozenset()))
+    with pytest.raises(AttributeError):
+        Point(3).parent = 1
+    with pytest.raises(AttributeError):
+        ins_.at = 2

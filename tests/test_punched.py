@@ -23,7 +23,7 @@ from spillkit.punched import extra_set_dp
 from spillkit.reductions import gen_indepset_h1
 from spillkit.sweeps import graph_instance, graphs_upto
 
-from builders import random_linear_code, seeded, within
+from builders import decoded, random_linear_code, seeded, within
 
 
 def spanning_code(a=1):
@@ -43,7 +43,7 @@ class TestExtraSetDp:
         assert sol.cost <= 2 and sol.achieved_omega <= 2
         assert sol.cost == brute_force(inst, 2, HOLES).cost
         # per-point spilled sets stay within 2(h+k) = 4
-        for live in inst.live_at:
+        for live in decoded(inst, inst.live_masks):
             assert len(live & sol.spilled) <= 4
 
     def test_target_zero_infeasible_with_instructions(self):
@@ -234,7 +234,7 @@ class TestExtraSetDp:
                     continue
                 cap = 2 * (h + k)
                 for spilled in optima:
-                    for live in inst.live_at:
+                    for live in decoded(inst, inst.live_masks):
                         assert len(live & spilled) <= cap
 
     def test_steps_respect_bound(self):

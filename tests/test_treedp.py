@@ -28,6 +28,7 @@ from spillkit.treedp import fitting_set_dp, fitting_set_dp_holes
 
 from builders import (
     chain_tree_code,
+    decoded,
     random_linear_block,
     random_linear_code,
     random_linear_ranges,
@@ -120,7 +121,8 @@ class TestFittingSetDp:
         # best states are taken, even those of the deepest samples
         inst = chain_tree_code(seeded(29), 40)
         k = 2
-        total = sum(comb(len(live), s) for live in inst.live_at
+        total = sum(comb(len(live), s)
+                    for live in decoded(inst, inst.live_masks)
                     for s in range(min(k, len(live)) + 1))
         assert solve(inst, k, state_budget=total).proven_optimal
 
@@ -188,7 +190,8 @@ class TestFittingSetDpHoles:
         k = 2
         for _ in range(25):
             inst = random_tree_code(rng, n_max=7, p_max=7)
-            for live, chads in zip(inst.live_at, inst.chads_at):
+            for live, chads in zip(decoded(inst, inst.live_masks),
+                                   decoded(inst, inst.chad_masks)):
                 universe = sorted(live)
                 noholes = set()
                 holes = set()
