@@ -72,6 +72,8 @@ def _pick_auto(inst, mode, form):
 
 # --algo -> the one mode it solves, and its refusal of the other
 _ONE_MODE = {
+    "greedy": (NOHOLES, "greedy_furthest is defined without holes only"),
+    "flow": (NOHOLES, "weighted_optimal is defined without holes only"),
     "dp-cover": (NOHOLES, "dp-cover is defined without holes"),
     "dp-fit": (NOHOLES, "dp-fit is the without-holes DP; use dp-fit-holes"),
     "dp-fit-holes": (HOLES, "dp-fit-holes needs --mode holes"),
@@ -85,14 +87,14 @@ def _run_algo(algo, inst, mode, r_val):
     if r_val >= inst.omega:
         return empty_solution(inst, mode, algo)
     if algo == "greedy":
-        return greedy_furthest(inst, r_val, mode)
+        return greedy_furthest(inst, r_val)
     if algo == "flow":
-        return weighted_optimal(inst, r_val, mode)
+        return weighted_optimal(inst, r_val)
     if algo == "dp-cover":
         if r_val != inst.omega - 1:
             raise UnsupportedModeError(
                 "dp-cover solves exactly the omega-1 target")
-        return incremental_cover_dp(inst, mode)
+        return incremental_cover_dp(inst)
     if algo == "dp-fit":
         return fitting_set_dp(inst, r_val)
     if algo == "dp-fit-holes":

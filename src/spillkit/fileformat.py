@@ -306,13 +306,14 @@ def parse_source(text):
         elements e1,e2,e3     ground b1,b2           vertices u,v,w
         triple e1,e2,e3       member b1,b2           edge u v
                               bound 1                bound 2
+
+    Only triple, member and edge records repeat.
     """
     kind = None
-    elements = ground = vertices = None
+    once = {}  # record that appears at most once -> its value
     triples = []
     members = []
     edges = []
-    bound = None
     for line, raw in enumerate(text.splitlines(), start=1):
         toks = _toks(raw)
         if not toks:
@@ -323,35 +324,36 @@ def parse_source(text):
                     "x3c", "mincover", "indepset"):
                 raise ParseError("expected 'source x3c|mincover|indepset' first", line)
             kind = args[0]
+            single = {"x3c": ("elements",), "mincover": ("ground", "bound"),
+                      "indepset": ("vertices", "bound")}[kind]
             continue
-        if rec == "elements" and kind == "x3c" and len(args) == 1:
-            elements = tuple(_ids(args[0], line))
+        if rec in single and len(args) == 1:
+            if rec in once:
+                raise ParseError(f"duplicate {rec} record", line)
+            once[rec] = (_int(args[0], line, "bound") if rec == "bound"
+                         else tuple(_ids(args[0], line)))
         elif rec == "triple" and kind == "x3c" and len(args) == 1:
             triples.append(frozenset(_ids(args[0], line)))
-        elif rec == "ground" and kind == "mincover" and len(args) == 1:
-            ground = tuple(_ids(args[0], line))
         elif rec == "member" and kind == "mincover" and len(args) == 1:
             members.append(frozenset(_ids(args[0], line)))
-        elif rec == "vertices" and kind == "indepset" and len(args) == 1:
-            vertices = tuple(_ids(args[0], line))
         elif rec == "edge" and kind == "indepset" and len(args) == 2:
             u, v = _name(args[0], line), _name(args[1], line)
             edges.append((min(u, v), max(u, v)))
-        elif rec == "bound" and kind in ("mincover", "indepset") and len(args) == 1:
-            bound = _int(args[0], line, "bound")
         else:
             raise ParseError(f"unexpected record {rec!r} for source {kind}", line)
     if kind is None:
         raise ParseError("empty source file", 1)
+    bound = once.get("bound", 0)
     try:
         if kind == "x3c":
-            src = X3CInstance(elements or (), tuple(triples))
+            src = X3CInstance(once.get("elements", ()), tuple(triples))
             src.check()
         elif kind == "mincover":
-            src = CoverInstance(ground or (), tuple(members), bound or 0)
+            src = CoverInstance(once.get("ground", ()), tuple(members), bound)
             src.check()
         else:
-            src = GraphInstance(vertices or (), tuple(sorted(set(edges))), bound or 0)
+            src = GraphInstance(once.get("vertices", ()),
+                                tuple(sorted(set(edges))), bound)
             src.check()
     except ValueError as exc:
         raise ParseError(str(exc), 1) from None

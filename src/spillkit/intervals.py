@@ -13,25 +13,22 @@ from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import accumulate
 
-from .errors import UnsupportedModeError, WrongShapeError
-from .model import (LINEAR, NOHOLES, bits, check_mode, pressure, run_starts,
-                    spill_solution)
+from .errors import WrongShapeError
+from .model import (LINEAR, NOHOLES, bits, empty_solution, pressure,
+                    run_starts, spill_solution)
 
 
-def _require_linear_noholes(instance, mode, what):
-    check_mode(mode)
+def _require_linear(instance, what):
     if instance.shape != LINEAR:
         raise WrongShapeError(f"{what} handles linear codes only")
-    if mode != NOHOLES:
-        raise UnsupportedModeError(f"{what} is defined without holes only")
 
 
-def greedy_furthest(instance, r, mode=NOHOLES):
+def greedy_furthest(instance, r):
     """Belady eviction: at the first over-pressured point, drop the live
     variable ending furthest. Optimal in cardinality for unit weights;
     weights are ignored for decisions but reported in the cost."""
     instance.require_sound("greedy_furthest")
-    _require_linear_noholes(instance, mode, "greedy_furthest")
+    _require_linear(instance, "greedy_furthest")
     if r < 0:
         raise ValueError("register count r must be >= 0")
     # per bit, the sample its range ends at; live-out ranges end past the
@@ -50,7 +47,6 @@ def greedy_furthest(instance, r, mode=NOHOLES):
             spilled |= victim
             active ^= victim
             steps += 1
-    spilled = instance.decode(spilled)
     return spill_solution(instance, spilled, pressure(instance, spilled, NOHOLES),
                           "greedy", steps)
 
@@ -148,7 +144,7 @@ def _flow_solve(instance, r):
     return sum(1 << b for b, f in enumerate(flows) if not f), flows, pops
 
 
-def weighted_optimal(instance, r, mode=NOHOLES):
+def weighted_optimal(instance, r):
     """Minimum-weight spill set with pressure <= r everywhere, via min-cost
     flow on the sample chain; exact integral optimum by total unimodularity.
 
@@ -159,20 +155,18 @@ def weighted_optimal(instance, r, mode=NOHOLES):
     that is not sound (Instance.problem).
     """
     instance.require_sound("weighted_optimal")
-    _require_linear_noholes(instance, mode, "weighted_optimal")
+    _require_linear(instance, "weighted_optimal")
     if r < 0:
         raise ValueError("register count r must be >= 0")
     if instance.omega <= r:
-        spilled, steps = 0, 0
-    else:
-        spilled, flows, steps = _flow_solve(instance, r)
-        assert all(x in (0, 1) for x in flows)
-    spilled = instance.decode(spilled)
+        return empty_solution(instance, NOHOLES, "flow")
+    spilled, flows, steps = _flow_solve(instance, r)
+    assert all(x in (0, 1) for x in flows)
     return spill_solution(instance, spilled, pressure(instance, spilled, NOHOLES),
                           "flow", steps)
 
 
-def incremental_cover_dp(instance, mode=NOHOLES):
+def incremental_cover_dp(instance):
     """Lower Maxlive by one at minimum weight.
 
     Only the points at full pressure matter; the optimum is a minimum
@@ -181,11 +175,10 @@ def incremental_cover_dp(instance, mode=NOHOLES):
     MalformedCodeError on an instance that is not sound.
     """
     instance.require_sound("incremental_cover_dp")
-    _require_linear_noholes(instance, mode, "incremental_cover_dp")
+    _require_linear(instance, "incremental_cover_dp")
     omega = instance.omega
     if omega == 0:
-        return spill_solution(instance, (), pressure(instance, (), NOHOLES),
-                              "dp-cover", 0)
+        return empty_solution(instance, NOHOLES, "dp-cover")
     live = instance.live_masks
     start = [s for s, _ in instance.spans]
     peaks = [i for i in run_starts(live) if live[i].bit_count() == omega]
@@ -210,6 +203,5 @@ def incremental_cover_dp(instance, mode=NOHOLES):
         _, b, pred = best[k]
         spilled |= 1 << b
         k = pred
-    spilled = instance.decode(spilled)
     return spill_solution(instance, spilled, pressure(instance, spilled, NOHOLES),
                           "dp-cover", steps)

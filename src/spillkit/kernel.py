@@ -122,8 +122,10 @@ def sweep_all(n, weights, live, chad, r, holes, target_cost, cap):
     """All feasible subsets of exactly target_cost, ascending, capped.
 
     Returns (masks, truncated); truncated when at least `cap` subsets
-    qualify. Raises SizeCapError when n > MAX_VARS.
+    qualify. ValueError on cap < 1; SizeCapError when n > MAX_VARS.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     full, least, decides = _prepare(n, live, chad, r, holes)
     if decides and not _feasible(full, live, chad, r, holes, full):
         return [], False

@@ -32,11 +32,6 @@ NOHOLES = "noholes"
 HOLES = "holes"
 
 
-def check_mode(mode):
-    if mode not in (NOHOLES, HOLES):
-        raise ValueError(f"unknown pressure mode {mode!r}")
-
-
 class Point(NamedTuple):
     id: int
     parent: Optional[int] = None
@@ -429,10 +424,11 @@ class Instance:
 
     def chads(self, mode):
         """Per sample, the chad mask `mode` counts: chad_masks with holes,
-        zeros without; the one refusal of holes on a range instance."""
-        check_mode(mode)
+        zeros without; the one check that refuses a bad mode."""
         if mode == NOHOLES:
             return self._no_chads
+        if mode != HOLES:
+            raise ValueError(f"unknown pressure mode {mode!r}")
         if not self.code_backed:
             raise UnsupportedModeError("hole semantics need a code-backed instance")
         return self.chad_masks
@@ -468,10 +464,6 @@ class Instance:
 
     def weight(self, vid):
         return Fraction(self.int_weights[self.bit_of[vid]], self.scale)
-
-    def cost_of(self, spilled):
-        ws, bit = self.int_weights, self.bit_of
-        return Fraction(sum(ws[bit[v]] for v in spilled), self.scale)
 
     def unweighted(self):
         return len(set(self.int_weights)) <= 1
@@ -585,9 +577,9 @@ def validate(instance):
 
 
 def pressure(instance, spilled, mode):
-    """Per-sample register pressure after spilling `spilled` under `mode`.
-    Like every solver, it refuses an unsound instance, which has no
-    liveness, and holes on a range instance."""
+    """Per-sample register pressure after spilling `spilled`, ids or an
+    instance mask, under `mode`. Like every solver, it refuses an unsound
+    instance, which has no liveness, and holes on a range instance."""
     instance.require_sound("pressure")
     s = _mask(instance, spilled)
     values = tuple((lm & ~s).bit_count() + (cm & s).bit_count()
@@ -596,8 +588,14 @@ def pressure(instance, spilled, mode):
 
 
 def _mask(instance, spilled):
-    """The bit mask of the ids in `spilled`; ValueError on an unknown id,
-    and on a str, whose characters would read as one-character ids."""
+    """The bit mask of `spilled`, an instance mask or a collection of ids;
+    ValueError on an int outside [0, 1 << n_vars), on an unknown id, and
+    on a str, whose characters would read as one-character ids."""
+    if isinstance(spilled, int):
+        if not 0 <= spilled < 1 << instance.n_vars:
+            raise ValueError(f"spill mask {spilled} is not a mask of "
+                             f"{instance.n_vars} variables")
+        return spilled
     if isinstance(spilled, str):
         raise ValueError(f"spilled variables must be a collection of ids, "
                          f"not the str {spilled!r}")
@@ -618,13 +616,12 @@ def empty_solution(instance, mode, algorithm, steps=0, feasible=True,
                          steps, mode, feasible, proven)
 
 
-def spill_solution(instance, spilled, profile, algorithm, steps, proven=True):
-    """The feasible SpillSolution spilling `spilled`, given the pressure
-    profile that spill leaves; the solution's mode is the profile's."""
-    spilled = frozenset(spilled)
+def spill_solution(instance, mask, profile, algorithm, steps, proven=True):
+    """The feasible SpillSolution spilling the variables of `mask`, given
+    the profile that spill leaves; the mode is the profile's."""
     return SpillSolution(
-        spilled=spilled,
-        cost=instance.cost_of(spilled),
+        spilled=instance.decode(mask),
+        cost=Fraction(instance.int_weight(mask), instance.scale),
         achieved_omega=profile.max_pressure,
         algorithm=algorithm,
         steps=steps,

@@ -68,14 +68,16 @@ def brute_force(instance, r, mode):
                                      mode == HOLES)
     if cost is None:
         return empty_solution(instance, mode, "brute", steps, feasible=False)
-    spilled = instance.decode(mask)
-    return spill_solution(instance, spilled, pressure(instance, spilled, mode),
+    return spill_solution(instance, mask, pressure(instance, mask, mode),
                           "brute", steps)
 
 
 def brute_force_all(instance, r, mode, all_cap=DEFAULT_ALL_CAP):
-    """(optimal solution, every optimal spill set, truncated flag)."""
+    """(optimal solution, every optimal spill set up to `all_cap` of them,
+    truncated flag); ValueError on a cap below 1, before any search."""
     instance.require_sound("brute_force_all")
+    if all_cap < 1:
+        raise ValueError("all_cap must be >= 1")
     best = brute_force(instance, r, mode)
     if not best.feasible:
         return best, [], False
@@ -316,6 +318,6 @@ def branch_and_bound(instance, r, mode, node_budget=DEFAULT_NODE_BUDGET):
     if best_cost is None:
         return empty_solution(instance, mode, "bnb", steps, feasible=False,
                               proven=not budget_hit)
-    spilled = instance.decode(sum(1 << perm[b] for b in bits(best_mask)))
+    spilled = sum(1 << perm[b] for b in bits(best_mask))
     return spill_solution(instance, spilled, pressure(instance, spilled, mode),
                           "bnb", steps, proven=not budget_hit)

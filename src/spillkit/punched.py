@@ -241,11 +241,10 @@ def extra_set_dp(instance, k, state_budget=DEFAULT_STATE_BUDGET):
             f"no extra set of size <= {cap} reaches pressure {r} "
             f"at point {pt} ({mom} moment)", witness=(pt, mom))
 
-    spilled_mask = 0
+    spilled = 0
     while entry is not None:
-        spilled_mask |= entry[2]
+        spilled |= entry[2]
         entry = entry[5]
-    spilled = instance.decode(spilled_mask)
     return spill_solution(instance, spilled, pressure(instance, spilled, HOLES),
                           "dp-extra", steps)
 

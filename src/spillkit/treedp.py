@@ -128,7 +128,7 @@ def _solve_fitting(instance, k, holes, state_budget):
         p = proj[c]
         f[c] = fc = f[up[c]] if p is None else p[f[up[c]] & live[c]]
         kept |= fc
-    spilled = instance.decode((1 << instance.n_vars) - 1 & ~kept)
+    spilled = (1 << instance.n_vars) - 1 & ~kept
     return spill_solution(instance, spilled, pressure(instance, spilled, mode),
                           algo, steps)
 

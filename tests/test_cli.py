@@ -214,10 +214,18 @@ def test_negative_target_is_a_usage_error(algo, target, tmp_path):
 
 
 @pytest.mark.parametrize("algo, mode, target, message", [
+    # omega is 3: a single-mode --algo is refused before the r >= omega
+    # shortcut, whatever the target
+    ("greedy", "holes", "r=1", "greedy_furthest is defined without holes only"),
+    ("greedy", "holes", "r=3", "greedy_furthest is defined without holes only"),
+    ("greedy", "holes", "r=5", "greedy_furthest is defined without holes only"),
+    ("flow", "holes", "r=1", "weighted_optimal is defined without holes only"),
+    ("flow", "holes", "r=3", "weighted_optimal is defined without holes only"),
+    ("flow", "holes", "r=5", "weighted_optimal is defined without holes only"),
     ("dp-cover", "holes", "omega-1", "dp-cover is defined without holes"),
+    ("dp-cover", "noholes", "r=1", "dp-cover solves exactly the omega-1 target"),
     ("dp-fit", "holes", "r=1", "dp-fit is the without-holes DP; "
                                "use dp-fit-holes"),
-    # omega is 3: the mode is checked before the r >= omega shortcut
     ("dp-fit", "holes", "r=5", "dp-fit is the without-holes DP; "
                                "use dp-fit-holes"),
     ("dp-fit-holes", "noholes", "r=1", "dp-fit-holes needs --mode holes"),

@@ -207,6 +207,36 @@ def test_the_first_broken_record_is_reported(first, second):
         6, f"line 6: {BROKEN[first][1]}")
 
 
+# Whole files parse refuses, each with the line and message it reports.
+HEAD = "format spill-v1\nkind linear\npoint 1\n"
+REFUSED = {
+    "format not first": ("kind linear\nformat spill-v1\n", 1,
+                         "expected 'format spill-v1' first"),
+    "empty input": ("", 1, "empty input: missing format record"),
+    "comments only": ("# a comment\n\n", 1, "empty input: missing format record"),
+    "var id not an identifier": (HEAD + "var 1a weight 1\n", 4,
+                                 "bad identifier '1a'"),
+    "repeated var": (HEAD + "var a weight 1\nvar b weight 1\nvar a weight 2\n",
+                     6, "duplicate var a"),
+    "repeated livein": (HEAD + "livein a\nlivein b\n", 5,
+                        "duplicate livein record"),
+    "repeated liveout": (HEAD + "liveout -\nliveout a\n", 5,
+                         "duplicate liveout record"),
+    "livein with two lists": (HEAD + "livein a b\n", 4,
+                              "livein takes one id list"),
+    "liveout with two lists": (HEAD + "liveout a b\n", 4,
+                               "liveout takes one id list"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_files(name):
+    text, line, message = REFUSED[name]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+
 class TestSerialize:
     def test_deterministic(self):
         inst = parse(CODE)
@@ -371,3 +401,43 @@ class TestSourceFiles:
             parse_source("source x3c\nelements e1,e2\ntriple e1,e2\n")
         with pytest.raises(ParseError):
             parse_source("source mincover\nground b1\nmember b1\nbound 9\n")
+
+
+X3C = "source x3c\nelements e1,e2,e3\ntriple e1,e2,e3\n"
+COVER = "source mincover\nground b1,b2\nmember b1,b2\nbound 1\n"
+GRAPH = "source indepset\nvertices u,v\nedge u v\nbound 1\n"
+# Source files parse_source refuses, each with the line and message it
+# reports; the check() refusals are reported at line 1.
+REFUSED_SOURCES = {
+    "no source first": ("elements e1,e2,e3\nsource x3c\n", 1,
+                        "expected 'source x3c|mincover|indepset' first"),
+    "another kind's record": (X3C + "member e1\n", 4,
+                              "unexpected record 'member' for source x3c"),
+    "empty file": ("# nothing\n", 1, "empty source file"),
+    "repeated elements": (X3C + "elements e4,e5,e6\n", 4,
+                          "duplicate elements record"),
+    "repeated ground": (COVER + "ground b3\n", 5, "duplicate ground record"),
+    "repeated vertices": (GRAPH + "vertices w\n", 5,
+                          "duplicate vertices record"),
+    "repeated cover bound": (COVER + "bound 1\n", 5, "duplicate bound record"),
+    "repeated graph bound": (GRAPH + "bound 2\n", 5, "duplicate bound record"),
+    "duplicate elements": ("source x3c\nelements e1,e1,e2\n", 1,
+                           "duplicate elements"),
+    "2-element triple": ("source x3c\nelements e1,e2,e3\ntriple e1,e2\n", 1,
+                         "triple ['e1', 'e2'] is not a 3-subset"),
+    "no triple": ("source x3c\nelements e1,e2,e3\n", 1,
+                  "X3C needs at least one triple"),
+    "duplicate ground": (COVER.replace("b1,b2\nm", "b1,b1\nm"), 1,
+                         "ground set must be nonempty without duplicates"),
+    "duplicate vertices": (GRAPH.replace("u,v\n", "u,v,u\n"), 1,
+                           "vertices must be nonempty without duplicates"),
+    "edge u u": (GRAPH.replace("edge u v", "edge u u"), 1, "bad edge (u,u)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_SOURCES))
+def test_refused_sources(name):
+    text, line, message = REFUSED_SOURCES[name]
+    with pytest.raises(ParseError) as exc:
+        parse_source(text)
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")

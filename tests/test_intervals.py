@@ -3,8 +3,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from spillkit.errors import (MalformedCodeError, UnsupportedModeError,
-                             WrongShapeError)
+from spillkit.errors import MalformedCodeError, WrongShapeError
 from spillkit.intervals import (
     _flow_solve,
     greedy_furthest,
@@ -12,7 +11,6 @@ from spillkit.intervals import (
     weighted_optimal,
 )
 from spillkit.model import (
-    HOLES,
     LINEAR,
     NOHOLES,
     TREE,
@@ -70,10 +68,6 @@ class TestGreedy:
                                     {"a": [1, 2]}, {"a": 1})
         with pytest.raises(WrongShapeError):
             greedy_furthest(inst, 1)
-
-    def test_rejects_holes(self):
-        with pytest.raises(UnsupportedModeError):
-            greedy_furthest(BELADY, 1, mode=HOLES)
 
     def test_cardinality_optimal_vs_brute(self):
         rng = seeded(11)

@@ -62,6 +62,12 @@ def test_all_cap_truncates():
     assert truncated and masks == [0b1, 0b10, 0b100]
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_sweep_all_refuses_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="^cap must be >= 1$"):
+        kernel.sweep_all(2, [1, 1], [0b11], [0], 1, False, 1, cap)
+
+
 def test_sweep_infeasible():
     # one row with 3 live and a chad on each: holes floor is 3 > 2
     n = 3

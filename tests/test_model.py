@@ -294,6 +294,22 @@ class TestPressure:
         assert pressure(inst, {"ab"}, NOHOLES).max_pressure == 2
         assert oracle.verify(inst, {"ab"}, 1, NOHOLES)
 
+    def test_a_mask_reads_as_its_ids(self):
+        # pressure, verify and assign take an instance mask as well as
+        # ids; an int outside [0, 1 << n_vars) is refused
+        inst = linear_code(3, [ins(1, defs="ab"), ins(2, "a"), ins(3, "b")],
+                           {"a": 1, "b": 1})
+        for call in (lambda s, mode: pressure(inst, s, mode),
+                     lambda s, mode: oracle.verify(inst, s, 0, mode),
+                     lambda s, mode: assign(inst, s, mode)):
+            for mask in range(4):
+                for mode in (NOHOLES, HOLES):
+                    assert call(mask, mode) == call(inst.decode(mask), mode)
+            for mask in (-1, 4):
+                with pytest.raises(ValueError, match=(
+                        f"^spill mask {mask} is not a mask of 2 variables$")):
+                    call(mask, NOHOLES)
+
     def test_holes_need_code(self):
         inst = Instance.from_ranges(LINEAR, [Point(1)], {"a": [1]}, {"a": 1})
         with pytest.raises(UnsupportedModeError):
@@ -484,9 +500,9 @@ def test_up_is_the_sample_tree():
 # Every solver, as (instance, r, mode) -> SpillSolution. dp-cover's target
 # is omega - 1 whatever r is, and dp-extra's is r expressed as omega - k.
 SOLVERS = {
-    "greedy": lambda inst, r, mode: greedy_furthest(inst, r, mode),
-    "flow": lambda inst, r, mode: weighted_optimal(inst, r, mode),
-    "dp-cover": lambda inst, r, mode: incremental_cover_dp(inst, mode),
+    "greedy": lambda inst, r, mode: greedy_furthest(inst, r),
+    "flow": lambda inst, r, mode: weighted_optimal(inst, r),
+    "dp-cover": lambda inst, r, mode: incremental_cover_dp(inst),
     "dp-fit": lambda inst, r, mode: fitting_set_dp(inst, r),
     "dp-fit-holes": lambda inst, r, mode: fitting_set_dp_holes(inst, r),
     "dp-extra": lambda inst, r, mode: extra_set_dp(inst, inst.omega - r),

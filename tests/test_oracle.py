@@ -122,6 +122,18 @@ class TestAllOptima:
         assert best.cost == 1 and not truncated
         assert sorted(map(sorted, optima)) == [["a"], ["b"], ["c"]]
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_a_cap_below_one_is_refused(self, cap, monkeypatch):
+        # a cap of 0 read as no optimum listed and truncated, and -1
+        # dropped the last optimum
+        def searched(*args):
+            raise AssertionError("searched with a cap below 1")
+
+        monkeypatch.setattr(kernel, "sweep", searched)
+        inst = ranges_inst({"a": [1], "b": [1]}, {"a": 1, "b": 1})
+        with pytest.raises(ValueError, match="^all_cap must be >= 1$"):
+            brute_force_all(inst, 1, NOHOLES, all_cap=cap)
+
 
 class TestVerify:
     def test_solver_output_verifies(self):

@@ -1,9 +1,9 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
-from spillkit.model import HOLES, NOHOLES, pressure, validate
+from spillkit.model import HOLES, NOHOLES, SpillSolution, pressure, validate
 from spillkit.oracle import brute_force
 from spillkit.reductions import (
     INDEPSET1,
@@ -206,6 +206,32 @@ class TestMapBack:
             algorithm="fake", steps=0, mode=cert.mode, feasible=False)
         with pytest.raises(MapBackError):
             map_back(cert, infeasible)
+
+    def test_unverified_rejected(self):
+        # within budget, but spilling nothing leaves pressure m = 2 > r
+        t = fs({"e1", "e2", "e3"})
+        cert = gen_x3c(X3CInstance(("e1", "e2", "e3"), (t, t)))
+        unspilled = SpillSolution(fs(), Fraction(0), 2, "fake", 0, cert.mode)
+        with pytest.raises(MapBackError, match="^solution does not verify at r=1"):
+            map_back(cert, unspilled)
+
+    def test_x3c_filler_rejected(self):
+        # spilling t0 and the fillers of t1's leaves verifies at r = 1 but
+        # costs 4 > K = 2, so the budget is raised to reach the role check
+        x = X3CInstance(("e1", "e2", "e3", "e4", "e5", "e6"),
+                        (fs({"e1", "e2", "e3"}), fs({"e4", "e5", "e6"})))
+        cert = replace(gen_x3c(x), K=Fraction(4))
+        sol = SpillSolution(fs({"t0", "fill_e4_0", "fill_e5_0", "fill_e6_0"}),
+                            Fraction(4), 1, "fake", 0, cert.mode)
+        with pytest.raises(MapBackError, match=(
+                "^spill set contains non-labeled variables$")):
+            map_back(cert, sol)
+
+    def test_unknown_kind_rejected(self):
+        cert = gen_mincover(CoverInstance(("b1",), (fs({"b1"}),), 1))
+        sol = brute_force(cert.instance, cert.r, cert.mode)
+        with pytest.raises(MapBackError, match="^unknown reduction kind 'knapsack'$"):
+            map_back(replace(cert, kind="knapsack"), sol)
 
 
 class TestDeciders:
